@@ -13,11 +13,13 @@
 //                   metric the workspace-reuse work pins down: it must
 //                   stay O(1) in sequence length and step index.
 //
-// Exit status is nonzero if any metric regresses more than 10% against
-// its baseline value. The timing baselines are deliberately conservative
-// floors (shared CI runners are noisy; the gate is for real regressions,
-// not scheduler jitter), while the allocation count is deterministic and
-// its baseline is exact.
+// Exit status is 1 if any metric regresses more than 10% against its
+// baseline value, and 2 if the baseline file is unreadable, is not a
+// strict JSON object, or lacks a numeric value for any gated key (checked
+// before anything is measured). The timing baselines are deliberately
+// conservative floors (shared CI runners are noisy; the gate is for real
+// regressions, not scheduler jitter), while the allocation count is
+// deterministic and its baseline is exact.
 //
 //   ./perf_baseline [--smoke] [--threads=4] [--out=BENCH_PERF.json]
 //                   [--baseline=path/to/perf_baseline.json]
@@ -30,10 +32,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cim/analog_matmul.hpp"
+#include "net/json.hpp"
 #include "nn/transformer.hpp"
 #include "serve/scheduler.hpp"
 #include "util/cli.hpp"
@@ -181,16 +186,6 @@ DecodeResult bench_decode(int n_requests, int new_tokens) {
 
 // --- baseline compare -------------------------------------------------
 
-/// Pull "key": <number> out of a flat JSON object; nan if absent.
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nan("");
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 std::string read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return {};
@@ -204,6 +199,46 @@ std::string read_file(const std::string& path) {
   return text;
 }
 
+struct Baseline {
+  double decode_tok_s = 0.0;
+  double mvm_ns = 0.0;
+  double allocs_per_step = 0.0;
+};
+
+/// Read the gated values with the strict JSON parser. A missing file, a
+/// malformed document, or a gated key that is absent or not a number is
+/// reported and yields nullopt: a gate compared against a garbage value
+/// (a string read as 0 would make every floor pass) is no gate.
+std::optional<Baseline> load_baseline(const std::string& path) {
+  const std::string text = read_file(path);
+  if (text.empty()) {
+    std::fprintf(stderr, "perf_baseline: no baseline at %s\n", path.c_str());
+    return std::nullopt;
+  }
+  const net::JsonParseResult doc = net::json_parse(text);
+  if (!doc.ok || !doc.value.is_object()) {
+    std::fprintf(stderr, "perf_baseline: %s is not a JSON object: %s\n",
+                 path.c_str(), doc.error.c_str());
+    return std::nullopt;
+  }
+  Baseline b;
+  const std::pair<const char*, double*> gated[] = {
+      {"decode_tok_s", &b.decode_tok_s},
+      {"mvm_ns", &b.mvm_ns},
+      {"allocs_per_step", &b.allocs_per_step}};
+  for (const auto& [key, value] : gated) {
+    const net::JsonValue* v = doc.value.find(key);
+    if (v == nullptr || !v->is_number()) {
+      std::fprintf(stderr,
+                   "perf_baseline: %s: \"%s\" is missing or not a number\n",
+                   path.c_str(), key);
+      return std::nullopt;
+    }
+    *value = v->as_double();
+  }
+  return b;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -214,6 +249,8 @@ int main(int argc, char** argv) {
   const std::string baseline_path =
       cli.get("baseline", std::string(NORA_SOURCE_DIR) +
                               "/bench/perf_baseline.json");
+  const std::optional<Baseline> base = load_baseline(baseline_path);
+  if (!base) return 2;
   util::ThreadPool::global().resize(threads);
 
   const int mvm_iters = smoke ? 40 : 200;
@@ -248,20 +285,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string base = read_file(baseline_path);
-  if (base.empty()) {
-    std::fprintf(stderr, "perf_baseline: no baseline at %s\n",
-                 baseline_path.c_str());
-    return 2;
-  }
   int failures = 0;
   const auto gate = [&failures](const char* name, double value,
                                 double baseline, bool higher_is_better) {
-    if (std::isnan(baseline)) {
-      std::fprintf(stderr, "FAIL %s: baseline value missing\n", name);
-      ++failures;
-      return;
-    }
     const double limit =
         higher_is_better ? baseline * 0.9 : baseline * 1.1;
     const bool ok = higher_is_better ? value >= limit : value <= limit;
@@ -269,9 +295,8 @@ int main(int argc, char** argv) {
                 ok ? "ok  " : "FAIL", name, value, baseline, limit);
     if (!ok) ++failures;
   };
-  gate("decode_tok_s", dec.tok_s, json_number(base, "decode_tok_s"), true);
-  gate("mvm_ns", mvm_ns, json_number(base, "mvm_ns"), false);
-  gate("allocs_per_step", dec.allocs_per_step,
-       json_number(base, "allocs_per_step"), false);
+  gate("decode_tok_s", dec.tok_s, base->decode_tok_s, true);
+  gate("mvm_ns", mvm_ns, base->mvm_ns, false);
+  gate("allocs_per_step", dec.allocs_per_step, base->allocs_per_step, false);
   return failures == 0 ? 0 : 1;
 }

@@ -74,9 +74,9 @@ AnalogMatmul::AnalogMatmul(const Matrix& w, std::vector<float> s,
 
 void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
                                  std::size_t ti1, bool commit_dac,
-                                 std::uint64_t t, std::span<const float> xrow,
-                                 float avg_alpha_b, std::uint64_t epoch,
-                                 std::span<float> y, BlockWork& work) const {
+                                 StreamKey key, std::span<const float> xrow,
+                                 float avg_alpha_b, std::span<float> y,
+                                 BlockWork& work) const {
   const RowBlock& block = blocks_[b];
   const std::int64_t nk = block.k1 - block.k0;
   // Per-thread workspace: pool workers (and the calling thread) are
@@ -118,14 +118,14 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
   work.tiles.assign(block.tiles.size(), TileRunCounters{});
   // Bound management [Gokmen'17]: rerun with doubled alpha while the
   // ADC saturates (weaker signal, but no output clipping). Each attempt
-  // keys its own noise streams on (epoch, token, block, attempt), so a
+  // keys its own noise streams on (stream, token, block, attempt), so a
   // retry re-samples fresh hardware noise exactly like a physical rerun.
   const bool use_in_noise = cfg_.in_noise > 0.0f;
   const double in_stddev = cfg_.in_noise;
   int iter = 0;
   for (;;) {
     const std::uint64_t work_key = util::derive_stream(
-        stream_base_, epoch, t,
+        stream_base_, key.stream, key.token,
         (static_cast<std::uint64_t>(b) << 8) | static_cast<std::uint64_t>(iter));
     // The input-noise stream draws exactly one standard normal per
     // element, unconditionally, so the whole attempt's draws batch into
@@ -233,38 +233,37 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
   ++work.stats.alpha_count;
 }
 
-Matrix AnalogMatmul::forward(const Matrix& x) { return forward_impl(x, {}); }
+Matrix AnalogMatmul::forward(const Matrix& x) {
+  // Validated first so a rejected call does not consume a call index.
+  if (x.cols() != k_) throw std::invalid_argument("AnalogMatmul::forward: dim mismatch");
+  const std::uint64_t call = call_index_++;
+  call_keys_.resize(static_cast<std::size_t>(x.rows()));
+  for (std::size_t t = 0; t < call_keys_.size(); ++t) call_keys_[t] = {call, t};
+  return forward(x, call_keys_);
+}
 
 Matrix AnalogMatmul::forward(const Matrix& x, std::span<const StreamKey> keys) {
+  if (x.cols() != k_) throw std::invalid_argument("AnalogMatmul::forward: dim mismatch");
   if (static_cast<std::int64_t>(keys.size()) != x.rows()) {
     throw std::invalid_argument(
         "AnalogMatmul::forward: one StreamKey per row required");
   }
-  return forward_impl(x, keys);
-}
-
-Matrix AnalogMatmul::forward_impl(const Matrix& x,
-                                  std::span<const StreamKey> keys) {
-  if (x.cols() != k_) throw std::invalid_argument("AnalogMatmul::forward: dim mismatch");
   const std::int64_t t_count = x.rows();
-  const bool keyed = !keys.empty();
   Matrix y(t_count, n_);
   // For the kAvgAbsMax policy the scale is shared across an alpha
-  // group: the whole call in the legacy path, each contiguous run of
-  // rows with equal StreamKey::stream in the keyed path (so a request's
-  // alpha never depends on its batch neighbours).
+  // group: each contiguous run of rows with equal StreamKey::stream (so
+  // a request's alpha never depends on its batch neighbours, and an
+  // unkeyed call — one stream — shares one scale over all its rows).
   std::vector<std::int64_t>& group_of = group_of_;  // row -> alpha-group index
   std::int64_t n_groups = t_count > 0 ? 1 : 0;
   if (t_count > 0) {
     group_of.assign(static_cast<std::size_t>(t_count), 0);
-    if (keyed) {
-      for (std::int64_t t = 1; t < t_count; ++t) {
-        if (keys[static_cast<std::size_t>(t)].stream !=
-            keys[static_cast<std::size_t>(t - 1)].stream) {
-          ++n_groups;
-        }
-        group_of[static_cast<std::size_t>(t)] = n_groups - 1;
+    for (std::int64_t t = 1; t < t_count; ++t) {
+      if (keys[static_cast<std::size_t>(t)].stream !=
+          keys[static_cast<std::size_t>(t - 1)].stream) {
+        ++n_groups;
       }
+      group_of[static_cast<std::size_t>(t)] = n_groups - 1;
     }
   }
   std::vector<float>& avg_alpha = avg_alpha_;
@@ -303,7 +302,6 @@ Matrix AnalogMatmul::forward_impl(const Matrix& x,
   // state (stats_, y rows, tile counters) is updated afterwards in
   // canonical (token, row-block) order, so the float accumulation order
   // and every statistic are independent of the thread count.
-  const std::uint64_t epoch = keyed ? 0 : fwd_epoch_++;
   const std::int64_t n_blocks = static_cast<std::int64_t>(blocks_.size());
   const bool parallel = cfg_.n_threads > 1;
   if (parallel) util::ThreadPool::global().ensure(cfg_.n_threads);
@@ -322,7 +320,7 @@ Matrix AnalogMatmul::forward_impl(const Matrix& x,
   for (std::int64_t tc0 = 0; tc0 < t_count; tc0 += chunk) {
     const std::int64_t tc1 = std::min(t_count, tc0 + chunk);
     if (sharded_) {
-      run_chunk_sharded(x, keys, epoch, tc0, tc1, n_groups, y);
+      run_chunk_sharded(x, keys, tc0, tc1, n_groups, y);
       continue;
     }
     const std::int64_t items = (tc1 - tc0) * n_blocks;
@@ -331,16 +329,11 @@ Matrix AnalogMatmul::forward_impl(const Matrix& x,
     auto run_item = [&](std::int64_t i) {
       const std::int64_t t = tc0 + i / n_blocks;
       const std::size_t b = static_cast<std::size_t>(i % n_blocks);
-      const std::uint64_t row_epoch =
-          keyed ? keys[static_cast<std::size_t>(t)].stream : epoch;
-      const std::uint64_t row_token =
-          keyed ? keys[static_cast<std::size_t>(t)].token
-                : static_cast<std::uint64_t>(t);
-      run_work_item(b, 0, blocks_[b].tiles.size(), true, row_token, x.row(t),
+      run_work_item(b, 0, blocks_[b].tiles.size(), true,
+                    keys[static_cast<std::size_t>(t)], x.row(t),
                     avg_alpha[b * static_cast<std::size_t>(n_groups) +
                               static_cast<std::size_t>(
                                   group_of[static_cast<std::size_t>(t)])],
-                    row_epoch,
                     std::span<float>(partial.data() + i * n_,
                                      static_cast<std::size_t>(n_)),
                     works[static_cast<std::size_t>(i)]);
@@ -398,10 +391,8 @@ void AnalogMatmul::clear_shard_plan() {
 
 void AnalogMatmul::run_chunk_sharded(const Matrix& x,
                                      std::span<const StreamKey> keys,
-                                     std::uint64_t epoch, std::int64_t tc0,
-                                     std::int64_t tc1, std::int64_t n_groups,
-                                     Matrix& y) {
-  const bool keyed = !keys.empty();
+                                     std::int64_t tc0, std::int64_t tc1,
+                                     std::int64_t n_groups, Matrix& y) {
   const std::int64_t n_blocks = static_cast<std::int64_t>(blocks_.size());
   const std::int64_t n_cols = col_blocks();
   const std::int64_t rows = tc1 - tc0;
@@ -414,17 +405,12 @@ void AnalogMatmul::run_chunk_sharded(const Matrix& x,
     const std::int64_t rem = i % (n_blocks * n_cols);
     const std::size_t b = static_cast<std::size_t>(rem / n_cols);
     const std::size_t ti = static_cast<std::size_t>(rem % n_cols);
-    const std::uint64_t row_epoch =
-        keyed ? keys[static_cast<std::size_t>(t)].stream : epoch;
-    const std::uint64_t row_token =
-        keyed ? keys[static_cast<std::size_t>(t)].token
-              : static_cast<std::uint64_t>(t);
     const std::int64_t slot = (t - tc0) * n_blocks + static_cast<std::int64_t>(b);
-    run_work_item(b, ti, ti + 1, ti == 0, row_token, x.row(t),
+    run_work_item(b, ti, ti + 1, ti == 0, keys[static_cast<std::size_t>(t)],
+                  x.row(t),
                   avg_alpha_[b * static_cast<std::size_t>(n_groups) +
                              static_cast<std::size_t>(
                                  group_of_[static_cast<std::size_t>(t)])],
-                  row_epoch,
                   std::span<float>(partial_.data() + slot * n_,
                                    static_cast<std::size_t>(n_)),
                   works_[static_cast<std::size_t>(i)]);

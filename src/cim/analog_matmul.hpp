@@ -54,13 +54,12 @@ struct ShardPlan {
   std::vector<util::ThreadPool*> pools;
 };
 
-/// Explicit per-row noise-stream coordinates for the keyed forward
-/// overload. `stream` replaces the forward-call epoch and `token`
-/// replaces the in-call row index, so the caller — not the call
-/// sequence — decides which noise a row sees. The serving layer keys
-/// rows on (request stream, request-local position), which is what
-/// makes a request's output bit-identical whether it is served alone
-/// or inside a continuously-formed batch.
+/// Per-row noise-stream coordinates: the only way rows are keyed. The
+/// caller — not the call sequence — decides which noise a row sees. The
+/// serving layer keys rows on (request stream, request-local position),
+/// which is what makes a request's output bit-identical whether it is
+/// served alone or inside a continuously-formed batch; the unkeyed
+/// forward keys them on (call index, row).
 struct StreamKey {
   std::uint64_t stream = 0;
   std::uint64_t token = 0;
@@ -116,28 +115,28 @@ class AnalogMatmul {
   void set_label(std::string label) { label_ = std::move(label); }
   const std::string& label() const { return label_; }
 
-  /// x: [T x K] activations. Returns [T x N]. Every noise draw comes
-  /// from a counter-keyed stream derived from (construction seed,
-  /// forward-call index, token, row-block, bound-management attempt,
-  /// tile), so the result is deterministic given the construction seed
-  /// and the forward-call sequence — and bit-identical for ANY value of
-  /// cfg.n_threads, since no stream depends on execution order. The
-  /// (token x row-block) work items fan out over the global thread pool
-  /// when cfg.n_threads > 1. Throws std::runtime_error naming the layer
-  /// label, token and column if any output is NaN/Inf — non-finite
-  /// values must not propagate silently into the rest of the
-  /// transformer.
-  Matrix forward(const Matrix& x);
-
-  /// Keyed forward: row t draws its noise from (construction seed,
-  /// keys[t].stream, keys[t].token, ...) instead of the internal
-  /// forward-call epoch and row index, and does NOT advance the epoch
-  /// counter. Rows with equal `stream` form a group: under the
-  /// kAvgAbsMax policy the shared alpha is averaged per contiguous
-  /// group rather than over the whole call, so a group's result does
-  /// not depend on what else shares the batch. Statistics accumulate
-  /// exactly like the unkeyed forward.
+  /// x: [T x K] activations, keys: one StreamKey per row. Returns
+  /// [T x N]. Row t draws every noise sample from a counter-keyed stream
+  /// derived from (construction seed, keys[t].stream, keys[t].token,
+  /// row-block, bound-management attempt, tile), so the result is a
+  /// pure function of (seed, x, keys) — bit-identical for ANY value of
+  /// cfg.n_threads, since no stream depends on execution order. Rows
+  /// with equal `stream` form a group: under the kAvgAbsMax policy the
+  /// shared alpha is averaged per contiguous group, so a group's result
+  /// does not depend on what else shares the batch. The (token x
+  /// row-block) work items fan out over the global thread pool when
+  /// cfg.n_threads > 1. Throws std::invalid_argument on a dim or key
+  /// count mismatch, and std::runtime_error naming the layer label,
+  /// token and column if any output is NaN/Inf — non-finite values must
+  /// not propagate silently into the rest of the transformer.
   Matrix forward(const Matrix& x, std::span<const StreamKey> keys);
+
+  /// Unkeyed forward: exactly forward(x, keys) with keys[t] = {n, t},
+  /// where n counts the unkeyed calls made on this unit before this one.
+  /// Successive calls therefore see fresh, decorrelated noise, and the
+  /// result is deterministic given the construction seed and the call
+  /// sequence.
+  Matrix forward(const Matrix& x);
 
   /// PCM drift: re-read all tiles t seconds after programming.
   void set_read_time(float t_seconds);
@@ -224,30 +223,26 @@ class AnalogMatmul {
   /// Run one (token, row-block, tile-range) work item: input rescale ->
   /// DAC -> non-idealities -> tile MVMs over tiles [ti0, ti1), with the
   /// bound-management retry loop inside. All randomness comes from
-  /// streams keyed on (epoch, t, b, attempt, tile) with GLOBAL tile
-  /// indices, so any partition of a block's tiles into work items draws
-  /// identical bits. `y` is the block's full output row (width n_); the
-  /// item touches only its owned tiles' column spans. `commit_dac` dedups
-  /// the per-block DAC traffic counters when a block is split into
-  /// several items (exactly one of them — tiles [0, x) — commits).
-  /// Thread-safe for concurrent calls with distinct (t, b, tile-range).
+  /// streams keyed on (key.stream, key.token, b, attempt, tile) with
+  /// GLOBAL tile indices, so any partition of a block's tiles into work
+  /// items draws identical bits. `y` is the block's full output row
+  /// (width n_); the item touches only its owned tiles' column spans.
+  /// `commit_dac` dedups the per-block DAC traffic counters when a block
+  /// is split into several items (exactly one of them — tiles [0, x) —
+  /// commits).
+  /// Thread-safe for concurrent calls with distinct (key, b, tile-range).
   void run_work_item(std::size_t b, std::size_t ti0, std::size_t ti1,
-                     bool commit_dac, std::uint64_t t,
+                     bool commit_dac, StreamKey key,
                      std::span<const float> xrow, float avg_alpha_b,
-                     std::uint64_t epoch, std::span<float> y,
-                     BlockWork& work) const;
+                     std::span<float> y, BlockWork& work) const;
 
   /// Sharded execution of one token chunk [tc0, tc1): per-tile work
   /// items fan out over the plan's chip pools, then partial sums reduce
   /// through the canonical tree and statistics fold in (t, b, tile)
   /// order. Bit-identical for any plan.
   void run_chunk_sharded(const Matrix& x, std::span<const StreamKey> keys,
-                         std::uint64_t epoch, std::int64_t tc0,
-                         std::int64_t tc1, std::int64_t n_groups, Matrix& y);
-
-  /// Shared body of both forward overloads; `keys` empty selects the
-  /// legacy (epoch, row-index) keying.
-  Matrix forward_impl(const Matrix& x, std::span<const StreamKey> keys);
+                         std::int64_t tc0, std::int64_t tc1,
+                         std::int64_t n_groups, Matrix& y);
 
   /// Resolve logical (k, n) to the owning tile and its local (col j,
   /// row k) coordinates. Throws std::invalid_argument when out of range.
@@ -262,18 +257,19 @@ class AnalogMatmul {
   noise::UniformQuantizer dac_;
   noise::SShapeNonlinearity sshape_;
   /// Root of all runtime noise streams; per-work-item streams are
-  /// derived from it with derive_stream(stream_base_, epoch, t, ...).
+  /// derived from it with derive_stream(stream_base_, key.stream,
+  /// key.token, ...).
   std::uint64_t stream_base_ = 0;
-  /// Forward-call counter: successive forwards use fresh, decorrelated
-  /// noise streams (the parallel analogue of an advancing sequential
-  /// RNG state).
-  std::uint64_t fwd_epoch_ = 0;
+  /// Unkeyed-call counter: the `stream` coordinate of the next unkeyed
+  /// forward (the parallel analogue of an advancing sequential RNG).
+  std::uint64_t call_index_ = 0;
   ArrayStats stats_;
   std::vector<WearRecord> wear_;  // permanent post-deployment faults
-  // forward_impl scratch, reused across calls (assign() keeps capacity)
-  // so steady-state decode steps allocate nothing here. forward() was
-  // never safe to call concurrently on one AnalogMatmul (fwd_epoch_,
-  // stats_); these add no new restriction.
+  // forward scratch, reused across calls (assign()/resize() keep
+  // capacity) so steady-state decode steps allocate nothing here.
+  // forward() was never safe to call concurrently on one AnalogMatmul
+  // (call_index_, stats_); these add no new restriction.
+  std::vector<StreamKey> call_keys_;  // the unkeyed forward's (n, t) keys
   std::vector<std::int64_t> group_of_;
   std::vector<float> avg_alpha_;
   std::vector<float> partial_;

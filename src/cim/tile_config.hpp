@@ -123,9 +123,10 @@ struct TileConfig {
   // --- execution ---
   /// Execution width for AnalogMatmul::forward: (token x row-block) MVM
   /// work items fan out over the global util::ThreadPool. Every work
-  /// item derives its own RNG streams from (epoch, token, row-block,
-  /// tile) counters, so the output is bit-identical for ANY value of
-  /// n_threads — this knob changes wall-clock only, never results.
+  /// item derives its own RNG streams from its row's cim::StreamKey
+  /// (stream, token) plus (row-block, attempt, tile) counters, so the
+  /// output is bit-identical for ANY value of n_threads — this knob
+  /// changes wall-clock only, never results.
   int n_threads = 1;
 
   std::uint64_t seed = 0x5eedf00dULL;

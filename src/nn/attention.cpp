@@ -81,82 +81,6 @@ Matrix CausalSelfAttention::forward(const Matrix& x, bool training) {
   return out_proj_.forward(concat, training);
 }
 
-Matrix CausalSelfAttention::forward_cached(const Matrix& x,
-                                           KvCache::BlockCache& cache,
-                                           std::int64_t pos0) {
-  const std::int64_t t_new = x.rows();
-  // Largest offset read below is pos0 + t_new - 1; past max_seq the
-  // rel_bias row has no entry for it.
-  if (pos0 + t_new > max_seq_) {
-    throw std::invalid_argument(
-        "attention[" + name_ + "]: cached sequence length " +
-        std::to_string(pos0 + t_new) + " exceeds max_seq " +
-        std::to_string(max_seq_));
-  }
-  const Matrix qkv = qkv_.forward(x, /*training=*/false);
-  if (cache.k.rows() != pos0 || (pos0 > 0 && cache.k.cols() != d_model_)) {
-    throw std::invalid_argument("attention forward_cached: cache out of sync");
-  }
-  // Append the new keys/values in place: rows [0, pos0) already ARE the
-  // cache, so the former copy-into-fresh-matrix round trip (one
-  // allocation plus an O(pos0) copy per layer per decode step) is gone.
-  // A cache pre-sized to its capacity (serve slabs) never reallocates.
-  if (cache.k.cols() != d_model_) {
-    cache.k = Matrix(0, d_model_);
-    cache.v = Matrix(0, d_model_);
-  }
-  cache.k.resize_rows(pos0 + t_new);
-  cache.v.resize_rows(pos0 + t_new);
-  Matrix& k_all = cache.k;
-  Matrix& v_all = cache.v;
-  for (std::int64_t t = 0; t < t_new; ++t) {
-    const auto row = qkv.row(t);
-    auto kr = k_all.row(pos0 + t);
-    auto vr = v_all.row(pos0 + t);
-    for (std::int64_t c = 0; c < d_model_; ++c) {
-      kr[c] = row[d_model_ + c];
-      vr[c] = row[2 * d_model_ + c];
-    }
-  }
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  Matrix concat(t_new, d_model_);
-  // Same disjoint-slice head fan-out as forward(); the probs scratch is
-  // thread-local so concurrent heads never share mutable state and
-  // long-lived pool workers reuse it allocation-free across steps.
-  util::ThreadPool::global().parallel_for(n_heads_, [&](std::int64_t h) {
-    const std::int64_t off = h * d_head_;
-    thread_local std::vector<float> probs;
-    const auto bias = rel_bias_.value.row(h);
-    for (std::int64_t i = 0; i < t_new; ++i) {
-      const std::int64_t gi = pos0 + i;  // global position
-      const auto qi = qkv.row(i);
-      probs.assign(static_cast<std::size_t>(gi) + 1, 0.0f);
-      float row_max = -1e30f;
-      for (std::int64_t j = 0; j <= gi; ++j) {
-        const auto kj = k_all.row(j);
-        float s = 0.0f;
-        for (std::int64_t c = 0; c < d_head_; ++c) s += qi[off + c] * kj[off + c];
-        s = s * scale + bias[gi - j];
-        probs[static_cast<std::size_t>(j)] = s;
-        row_max = std::max(row_max, s);
-      }
-      float denom = 0.0f;
-      for (auto& p : probs) {
-        p = std::exp(p - row_max);
-        denom += p;
-      }
-      const float inv = 1.0f / denom;
-      auto oi = concat.row(i);
-      for (std::int64_t j = 0; j <= gi; ++j) {
-        const float p = probs[static_cast<std::size_t>(j)] * inv;
-        const auto vj = v_all.row(j);
-        for (std::int64_t c = 0; c < d_head_; ++c) oi[off + c] += p * vj[off + c];
-      }
-    }
-  });
-  return out_proj_.forward(concat, /*training=*/false);
-}
-
 Matrix CausalSelfAttention::forward_serve(const Matrix& x,
                                           std::span<const AttnServeSeq> seqs,
                                           std::span<const cim::StreamKey> keys) {
@@ -246,8 +170,10 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
   Matrix concat(total, d_model_);
   // (sequence x head) fan-out: each item writes the head's column slice
   // of its sequence's row range — disjoint — with the same digital math
-  // and accumulation order as forward_cached, so any thread count and
-  // any batch composition produce identical rows.
+  // and accumulation order as forward() over the whole sequence, so any
+  // thread count and any batch composition produce identical rows. The
+  // probs scratch is thread-local: concurrent items never share mutable
+  // state, and long-lived pool workers reuse it allocation-free.
   util::ThreadPool::global().parallel_for(
       n_seqs * n_heads_, [&](std::int64_t item) {
         const std::int64_t s = item / n_heads_;

@@ -57,22 +57,17 @@ class CausalSelfAttention {
   Matrix forward(const Matrix& x, bool training = false);
   Matrix backward(const Matrix& dy);
 
-  /// Incremental forward: process new rows x (positions pos0..pos0+T-1),
-  /// attending over `cache` plus the new rows, and append the new
-  /// keys/values to the cache. Bit-identical to forward() over the
-  /// concatenated sequence. Inference only. Throws std::invalid_argument
-  /// when pos0 + T exceeds max_seq (see forward()).
-  Matrix forward_cached(const Matrix& x, KvCache::BlockCache& cache,
-                        std::int64_t pos0);
-
-  /// Batched serving forward: x is the row-wise concatenation of
-  /// several sequences' new rows (continuous batching: any mix of
-  /// multi-row prefills and single-row decode steps). The QKV and
-  /// output projections run once over the whole batch (one pass through
-  /// the analog tiles, keyed per row by `keys`); the softmax attention
-  /// runs per (sequence, head) against that sequence's own cache, with
-  /// the exact inner loop of forward_cached. Each sequence's output is
-  /// therefore bit-identical however the batch is composed.
+  /// Incremental (KV-cached) forward, the only inference path: x is the
+  /// row-wise concatenation of several sequences' new rows (continuous
+  /// batching: any mix of multi-row prefills and single-row decode
+  /// steps; a single segment is plain incremental decoding). The QKV
+  /// and output projections run once over the whole batch (one pass
+  /// through the analog tiles, keyed per row by `keys`); the softmax
+  /// attention runs per (sequence, head) against that sequence's own
+  /// cache and appends the new keys/values to it. Each sequence's output
+  /// is therefore bit-identical however the batch is composed. Throws
+  /// std::invalid_argument (naming the layer and max_seq) when a
+  /// segment's pos0 + rows exceeds max_seq (see forward()).
   Matrix forward_serve(const Matrix& x, std::span<const AttnServeSeq> seqs,
                        std::span<const cim::StreamKey> keys);
 

@@ -20,13 +20,6 @@ Matrix TransformerBlock::forward(const Matrix& x, bool training) {
   return ops::add(h, mlp_.forward(norm2_.forward(h, training), training));
 }
 
-Matrix TransformerBlock::forward_cached(const Matrix& x,
-                                        KvCache::BlockCache& cache,
-                                        std::int64_t pos0) {
-  Matrix h = ops::add(x, attn_.forward_cached(norm1_.forward(x), cache, pos0));
-  return ops::add(h, mlp_.forward(norm2_.forward(h)));
-}
-
 Matrix TransformerBlock::forward_serve(const Matrix& x,
                                        std::span<const AttnServeSeq> seqs,
                                        std::span<const cim::StreamKey> keys) {

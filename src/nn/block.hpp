@@ -20,12 +20,9 @@ class TransformerBlock {
 
   Matrix forward(const Matrix& x, bool training = false);
   Matrix backward(const Matrix& dy);
-  /// KV-cached incremental forward (inference only).
-  Matrix forward_cached(const Matrix& x, KvCache::BlockCache& cache,
-                        std::int64_t pos0);
-  /// Batched serving forward over several sequences' segments (see
-  /// CausalSelfAttention::forward_serve); norms and the MLP are
-  /// row-wise, attention is per-segment.
+  /// KV-cached batched serving forward over several sequences'
+  /// segments (see CausalSelfAttention::forward_serve); norms and the
+  /// MLP are row-wise, attention is per-segment.
   Matrix forward_serve(const Matrix& x, std::span<const AttnServeSeq> seqs,
                        std::span<const cim::StreamKey> keys);
 

@@ -2,10 +2,12 @@
 //
 // Autoregressive generation re-uses the attention keys/values of past
 // positions instead of re-running the whole prefix — the standard LLM
-// serving optimization. The cached path must be numerically identical
-// to the full-context forward (unit-tested), on digital and analog
-// backends alike; on analog tiles it also models the realistic serving
-// pattern where each generated token makes one pass through the tiles.
+// serving optimization. TransformerLM::forward_serve is the one path
+// that reads and extends a KvCache (batched over requests, or a single
+// segment for plain incremental decoding). On the digital backend a
+// single segment is checked against the full-context forward
+// (tests/test_kv_cache.cpp); on analog tiles each generated token makes
+// one pass through the tiles, with noise keyed per request and position.
 #pragma once
 
 #include <cstdint>

@@ -83,13 +83,7 @@ Matrix Linear::forward(const Matrix& x, bool training) {
               grown.data() + captured_inputs_.size());
     captured_inputs_ = std::move(grown);
   }
-  record_timing(x.rows());
-  Matrix y = analog_ && !digital_bypass_ ? analog_->forward(x)
-             : int8_ && !digital_bypass_
-                 ? quant::int8_linear(x, w_.value, int8_s_, nullptr,
-                                      int8_static_scale_)
-                 : ops::matmul(x, w_.value);
-  ops::add_row_vector(y, b_.value.row(0));
+  Matrix y = run_backend(x, nullptr);
   if (training) {
     if (analog_ || int8_) {
       throw std::logic_error("Linear: cannot train through a quantized backend");
@@ -105,8 +99,15 @@ Matrix Linear::forward_keyed(const Matrix& x,
     throw std::invalid_argument("Linear::forward_keyed: input dim mismatch (" +
                                 name_ + ")");
   }
+  return run_backend(x, &keys);
+}
+
+Matrix Linear::run_backend(const Matrix& x,
+                           const std::span<const cim::StreamKey>* keys) {
   record_timing(x.rows());
-  Matrix y = analog_ && !digital_bypass_ ? analog_->forward(x, keys)
+  Matrix y = analog_ && !digital_bypass_
+                 ? (keys != nullptr ? analog_->forward(x, *keys)
+                                    : analog_->forward(x))
              : int8_ && !digital_bypass_
                  ? quant::int8_linear(x, w_.value, int8_s_, nullptr,
                                       int8_static_scale_)

@@ -95,6 +95,11 @@ class Linear {
   /// Append this pass's shape metadata to the thread-local timing trace
   /// (no-op when tracing is off — the timing.enabled=false fast path).
   void record_timing(std::int64_t rows) const;
+  /// The backend dispatch both forwards share: trace the op, run the
+  /// analog (keyed when `keys` is set, else by call index), INT8 or fp32
+  /// GEMM, add the bias.
+  Matrix run_backend(const Matrix& x,
+                     const std::span<const cim::StreamKey>* keys);
 
   std::string name_;
   Param w_;  // [in x out]

@@ -21,6 +21,16 @@ namespace {
 util::Rng make_init_rng(const TransformerConfig& cfg) {
   return util::Rng(util::derive_seed(cfg.seed, "init"));
 }
+
+/// Greedy argmax over the last row of a logits matrix.
+int argmax_last(const Matrix& logits) {
+  const auto last = logits.row(logits.rows() - 1);
+  int best = 0;
+  for (std::int64_t v = 1; v < logits.cols(); ++v) {
+    if (last[v] > last[best]) best = static_cast<int>(v);
+  }
+  return best;
+}
 }  // namespace
 
 void TransformerLM::init_cache_blocks(KvCache& cache) const {
@@ -111,45 +121,6 @@ void TransformerLM::backward(const Matrix& dlogits) {
       gp[c] += dr[c];
     }
   }
-}
-
-Matrix TransformerLM::forward_cached(std::span<const int> tokens,
-                                     KvCache& cache) {
-  const std::int64_t t_new = static_cast<std::int64_t>(tokens.size());
-  const std::int64_t pos0 = cache.length;
-  if (t_new == 0) {
-    throw std::invalid_argument("forward_cached: bad sequence length");
-  }
-  // Fail here, by name, before any layer state is touched — not layers
-  // deep in the attention rel_bias guard.
-  if (pos0 + t_new > cfg_.max_seq) {
-    throw KvCacheOverflow(pos0, t_new, cfg_.max_seq, "model max_seq");
-  }
-  if (cache.capacity > 0 && pos0 + t_new > cache.capacity) {
-    throw KvCacheOverflow(pos0, t_new, cache.capacity, "cache capacity");
-  }
-  if (cache.blocks.empty()) {
-    init_cache_blocks(cache);
-  } else if (cache.blocks.size() != blocks_.size()) {
-    throw std::invalid_argument("forward_cached: cache from another model");
-  }
-  Matrix x(t_new, cfg_.d_model);
-  for (std::int64_t t = 0; t < t_new; ++t) {
-    const int id = tokens[static_cast<std::size_t>(t)];
-    if (id < 0 || id >= cfg_.vocab_size) {
-      throw std::invalid_argument("forward_cached: token id out of range");
-    }
-    auto xr = x.row(t);
-    const auto er = tok_emb_.value.row(id);
-    const auto pr = pos_emb_.value.row(pos0 + t);
-    for (std::int64_t c = 0; c < cfg_.d_model; ++c) xr[c] = er[c] + pr[c];
-  }
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    x = blocks_[l].forward_cached(x, cache.blocks[l], pos0);
-  }
-  cache.length = pos0 + t_new;
-  x = final_norm_.forward(x);
-  return lm_head_.forward(x);
 }
 
 Matrix TransformerLM::forward_serve(std::span<const ServeSegment> segments) {
@@ -243,33 +214,27 @@ Matrix TransformerLM::forward_serve(std::span<const ServeSegment> segments) {
 std::vector<int> TransformerLM::generate(std::span<const int> prompt,
                                          int max_new_tokens) {
   if (prompt.empty()) throw std::invalid_argument("generate: empty prompt");
+  // One request on the serving path: a single segment on the default
+  // stream, prefilled once, then fed back one greedy token at a time.
   KvCache cache;
-  Matrix logits = forward_cached(prompt, cache);
+  ServeSegment seg;
+  seg.tokens = prompt;
+  seg.cache = &cache;
   std::vector<int> out;
-  for (int step = 0; step < max_new_tokens && cache.length < cfg_.max_seq;
-       ++step) {
-    const auto last = logits.row(logits.rows() - 1);
-    int best = 0;
-    for (std::int64_t v = 1; v < cfg_.vocab_size; ++v) {
-      if (last[v] > last[best]) best = static_cast<int>(v);
+  for (;;) {
+    const Matrix logits = forward_serve({&seg, 1});
+    if (static_cast<int>(out.size()) >= max_new_tokens ||
+        cache.length >= cfg_.max_seq) {
+      break;
     }
-    out.push_back(best);
-    if (cache.length >= cfg_.max_seq) break;
-    const int next[] = {best};
-    if (cache.length + 1 > cfg_.max_seq) break;
-    logits = forward_cached(next, cache);
+    out.push_back(argmax_last(logits));
+    seg.tokens = {&out.back(), 1};
   }
   return out;
 }
 
 int TransformerLM::predict_next(std::span<const int> tokens) {
-  const Matrix logits = forward(tokens, /*training=*/false);
-  const auto last = logits.row(logits.rows() - 1);
-  int best = 0;
-  for (std::int64_t v = 1; v < cfg_.vocab_size; ++v) {
-    if (last[v] > last[best]) best = static_cast<int>(v);
-  }
-  return best;
+  return argmax_last(forward(tokens, /*training=*/false));
 }
 
 ParamRefs TransformerLM::collect_params() {

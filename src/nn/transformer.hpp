@@ -57,13 +57,6 @@ class TransformerLM {
   /// Greedy argmax of the last position's logits.
   int predict_next(std::span<const int> tokens);
 
-  /// KV-cached incremental forward: append `tokens` at positions
-  /// cache.length.., return their logits, and extend the cache.
-  /// Numerically identical to forward() over the full sequence. Throws
-  /// nn::KvCacheOverflow when the append would exceed the model's
-  /// max_seq or the cache's own capacity.
-  Matrix forward_cached(std::span<const int> tokens, KvCache& cache);
-
   /// One request's slice of a batched serving step.
   struct ServeSegment {
     std::span<const int> tokens;    // new tokens (prefill chunk or 1 decode)
@@ -79,10 +72,12 @@ class TransformerLM {
     std::int64_t base_len = 0;
   };
 
-  /// Continuous-batching serving forward: run every segment's new
-  /// tokens through the stack in ONE pass per linear layer (the analog
-  /// tile passes are shared by the whole batch), attending each segment
-  /// against its own KV cache. Row noise is keyed on (segment stream,
+  /// KV-cached incremental forward — the one inference path, batched
+  /// for continuous serving. Appends every segment's new tokens at its
+  /// positions base_len + cache->length.. in ONE pass per linear layer
+  /// (the analog tile passes are shared by the whole batch), attending
+  /// each segment against its own KV cache; a single segment is plain
+  /// incremental decoding. Row noise is keyed on (segment stream,
   /// request-local position) — see cim::StreamKey — so each segment's
   /// logits are bit-identical whether it is served alone or batched
   /// with any other segments, at any thread count. Returns the
@@ -91,8 +86,9 @@ class TransformerLM {
   /// violations before touching any state.
   Matrix forward_serve(std::span<const ServeSegment> segments);
 
-  /// Greedy decoding: consume the prompt once, then emit up to
-  /// max_new_tokens (bounded by max_seq) using the KV cache.
+  /// Greedy decoding over a single-segment forward_serve loop: consume
+  /// the prompt once, then emit up to max_new_tokens (bounded by
+  /// max_seq) using the KV cache.
   std::vector<int> generate(std::span<const int> prompt, int max_new_tokens);
 
   /// All trainable + fixed parameters, in a stable order (used by the

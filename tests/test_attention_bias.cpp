@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "nn/attention.hpp"
 
@@ -85,17 +86,23 @@ TEST(RelativeBias, CachedPathAlsoGuardsMaxSeq) {
   util::Rng rng(8);
   CausalSelfAttention attn("blk0.attn", 8, 2, 4, rng, 0.1f);
   KvCache::BlockCache cache;
+  // Append x at global position pos0 as the only serving segment.
+  const auto step = [&](const Matrix& x, std::int64_t pos0) {
+    const AttnServeSeq seq{&cache, nullptr, 0, pos0, x.rows()};
+    std::vector<cim::StreamKey> keys(static_cast<std::size_t>(x.rows()));
+    return attn.forward_serve(x, {&seq, 1}, keys);
+  };
   util::Rng xr(9);
   Matrix first(3, 8);
   first.fill_gaussian(xr, 1.0f);
-  EXPECT_NO_THROW(attn.forward_cached(first, cache, 0));
+  EXPECT_NO_THROW(step(first, 0));
   Matrix second(1, 8);
   second.fill_gaussian(xr, 1.0f);
-  EXPECT_NO_THROW(attn.forward_cached(second, cache, 3));  // fills to 4
+  EXPECT_NO_THROW(step(second, 3));  // fills to 4
   Matrix third(1, 8);
   third.fill_gaussian(xr, 1.0f);
   try {
-    attn.forward_cached(third, cache, 4);  // would read bias[4]
+    step(third, 4);  // would read bias[4]
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();

@@ -10,7 +10,12 @@
 // this is the golden-file form of the thread-invariance property.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "cim/analog_matmul.hpp"
+#include "shard/chip_set.hpp"
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -106,6 +111,67 @@ TEST_P(GoldenStreams, KeyedForwardMatchesPinnedValues) {
   EXPECT_EQ(unit.stats().dac_samples, 350);
   EXPECT_EQ(unit.adc_reads(), 750);
   EXPECT_EQ(unit.abft_stats().checks, 45);
+  util::ThreadPool::global().resize(1);
+}
+
+// The unified keying contract: an unkeyed forward is the keyed forward
+// with keys = (call index, row). The n-th forward(x) on one unit must
+// reproduce forward(x, {n, t}) on an identically built twin bit for bit
+// — outputs, array stats, ADC and ABFT counters — under both input-scaling
+// policies, unsharded and on a 2-chip plan.
+TEST_P(GoldenStreams, UnkeyedForwardIsKeyedByCallIndexAndRow) {
+  const int threads = GetParam();
+  util::ThreadPool::global().resize(threads);
+  const Matrix w = random_matrix(70, 50, 101);
+  const Matrix x = random_matrix(5, 70, 202, 1.0f);
+  for (const cim::InputScaling scaling :
+       {cim::InputScaling::kAbsMax, cim::InputScaling::kAvgAbsMax}) {
+    for (const bool sharded : {false, true}) {
+      cim::TileConfig cfg = everything_on(threads);
+      cfg.scaling = scaling;
+      cim::AnalogMatmul unkeyed(w, {}, cfg, 31337);
+      cim::AnalogMatmul keyed(w, {}, cfg, 31337);
+      shard::ChipSet chips(2, threads);
+      if (sharded) {
+        cim::ShardPlan plan;
+        plan.n_chips = 2;
+        plan.pools = chips.pool_range(0, 2);
+        unkeyed.set_shard_plan(plan);
+        keyed.set_shard_plan(plan);
+      }
+      for (std::uint64_t n = 0; n < 3; ++n) {
+        const std::string where =
+            "scaling=" + std::to_string(static_cast<int>(scaling)) +
+            " sharded=" + std::to_string(sharded) + " call=" +
+            std::to_string(n) + " threads=" + std::to_string(threads);
+        std::vector<cim::StreamKey> keys(static_cast<std::size_t>(x.rows()));
+        for (std::uint64_t t = 0; t < keys.size(); ++t) keys[t] = {n, t};
+        const Matrix a = unkeyed.forward(x);
+        const Matrix b = keyed.forward(x, keys);
+        ASSERT_TRUE(a.same_shape(b)) << where;
+        const std::size_t bytes =
+            sizeof(float) * static_cast<std::size_t>(a.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0) << where;
+        const cim::ArrayStats& sa = unkeyed.stats();
+        const cim::ArrayStats& sb = keyed.stats();
+        EXPECT_EQ(sa.alpha_sum, sb.alpha_sum) << where;
+        EXPECT_EQ(sa.alpha_count, sb.alpha_count) << where;
+        EXPECT_EQ(sa.dac_samples, sb.dac_samples) << where;
+        EXPECT_EQ(sa.dac_clipped, sb.dac_clipped) << where;
+        EXPECT_EQ(sa.bm_retries, sb.bm_retries) << where;
+        EXPECT_EQ(unkeyed.adc_reads(), keyed.adc_reads()) << where;
+        EXPECT_EQ(unkeyed.adc_saturations(), keyed.adc_saturations())
+            << where;
+        const cim::AbftStats fa = unkeyed.abft_stats();
+        const cim::AbftStats fb = keyed.abft_stats();
+        EXPECT_EQ(fa.checks, fb.checks) << where;
+        EXPECT_EQ(fa.flags, fb.flags) << where;
+        EXPECT_EQ(fa.residual_abs_sum, fb.residual_abs_sum) << where;
+        EXPECT_EQ(fa.residual_max, fb.residual_max) << where;
+        EXPECT_EQ(fa.ratio_sum, fb.ratio_sum) << where;
+      }
+    }
+  }
   util::ThreadPool::global().resize(1);
 }
 

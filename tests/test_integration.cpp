@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <vector>
 
 #include "core/nora.hpp"
 #include "eval/evaluator.hpp"
 #include "model/zoo.hpp"
+#include "serve/scheduler.hpp"
 #include "train/trainer.hpp"
 
 namespace nora {
@@ -50,12 +53,68 @@ class IntegrationTest : public ::testing::Test {
     return model.get();
   }
 
+  static eval::SynthLambada eval_task() {
+    eval::SynthLambadaConfig t = task_cfg();
+    t.n_queries = 1;
+    return eval::SynthLambada(t);
+  }
+
   static double eval_accuracy(nn::TransformerLM& m) {
     eval::EvalOptions eo;
     eo.n_examples = 96;
-    eval::SynthLambadaConfig t = task_cfg();
-    t.n_queries = 1;
-    return eval::evaluate(m, eval::SynthLambada(t), eo).accuracy;
+    return eval::evaluate(m, eval_task(), eo).accuracy;
+  }
+
+  /// The trained model with max_seq one longer. A scheduler admits only
+  /// prompts shorter than max_seq, and an evaluation example fills the
+  /// trained model's whole context. Positions and bias offsets below the
+  /// old max_seq read the copied parameters, so the twin computes the
+  /// trained model's function on every example.
+  static nn::TransformerLM* serving_twin() {
+    static std::unique_ptr<nn::TransformerLM> twin = [] {
+      nn::TransformerLM& src = *trained_model();
+      nn::TransformerConfig arch = src.config();
+      ++arch.max_seq;
+      auto m = std::make_unique<nn::TransformerLM>(arch);
+      const nn::ParamRefs from = src.collect_params();
+      const nn::ParamRefs to = m->collect_params();
+      for (std::size_t i = 0; i < from.size(); ++i) {
+        const Matrix& a = from[i]->value;
+        Matrix& b = to[i]->value;
+        for (std::int64_t r = 0; r < a.rows(); ++r) {
+          for (std::int64_t c = 0; c < a.cols(); ++c) b.at(r, c) = a.at(r, c);
+        }
+      }
+      return m;
+    }();
+    return twin.get();
+  }
+
+  /// Accuracy over the same 96 examples as eval_accuracy, scored on the
+  /// serving path: each example's tokens are one request's prompt, and
+  /// its greedy first token is the prediction.
+  static double serve_accuracy(nn::TransformerLM& m) {
+    const eval::SynthLambada task = eval_task();
+    serve::Scheduler sched(m);
+    std::vector<std::int64_t> ids;
+    std::vector<int> answers;
+    for (int i = 0; i < 96; ++i) {
+      const eval::Example ex = task.make_example(
+          eval::EvalOptions().split, static_cast<std::uint64_t>(i));
+      serve::RequestParams p;
+      p.prompt = ex.tokens;
+      p.max_new_tokens = 1;
+      ids.push_back(sched.submit(std::move(p)));
+      answers.push_back(ex.answer);
+    }
+    sched.run_until_idle();
+    int correct = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const serve::RequestRecord r = sched.request(ids[i]);
+      EXPECT_EQ(r.state, serve::RequestState::kFinished) << "example " << i;
+      correct += r.tokens.size() == 1 && r.tokens[0] == answers[i];
+    }
+    return static_cast<double>(correct) / 96.0;
   }
 };
 
@@ -85,6 +144,35 @@ TEST_F(IntegrationTest, HeadlineOrderingDigitalGeNoraGtNaive) {
 
   // The paper's headline: naive deployment is catastrophic, NORA is
   // near-lossless (Fig. 5a).
+  EXPECT_LT(acc_naive, fp - 0.10);
+  EXPECT_GE(acc_nora, fp - 0.05);
+  EXPECT_GT(acc_nora, acc_naive + 0.10);
+}
+
+// The same headline, scored on the code path that serves traffic: the
+// scheduler's batched, KV-cached forward with per-request noise streams.
+TEST_F(IntegrationTest, HeadlineOrderingHoldsOnServePath) {
+  nn::TransformerLM& model = *serving_twin();
+  model.to_digital();
+  const double fp = serve_accuracy(model);
+  EXPECT_EQ(fp, eval_accuracy(model));
+  EXPECT_EQ(fp, eval_accuracy(*trained_model()));
+
+  const eval::SynthLambada task(task_cfg());
+  core::DeployOptions naive;
+  naive.tile = cim::TileConfig::paper_table2();
+  naive.nora.enabled = false;
+  core::deploy_analog(model, task, naive);
+  const double acc_naive = serve_accuracy(model);
+
+  model.to_digital();
+  core::DeployOptions nora;
+  nora.tile = cim::TileConfig::paper_table2();
+  nora.nora.enabled = true;
+  core::deploy_analog(model, task, nora);
+  const double acc_nora = serve_accuracy(model);
+  model.to_digital();
+
   EXPECT_LT(acc_naive, fp - 0.10);
   EXPECT_GE(acc_nora, fp - 0.05);
   EXPECT_GT(acc_nora, acc_naive + 0.10);

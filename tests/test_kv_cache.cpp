@@ -1,10 +1,11 @@
-// Tests for KV-cached incremental decoding: the cached path must be
-// numerically identical to the full-context forward, on both digital
-// and (noise-free) analog backends.
+// Tests for KV-cached incremental decoding through a single-segment
+// forward_serve: the cached path must be numerically identical to the
+// full-context forward, on both digital and (noise-free) analog backends.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "cim/tile_config.hpp"
 #include "nn/transformer.hpp"
@@ -27,11 +28,21 @@ TransformerLM make_model() {
 
 const std::vector<int> kTokens{3, 1, 4, 1, 5, 9, 2, 6};
 
+/// One request's incremental step: `tokens` appended to `cache` as the
+/// only segment of a serving forward.
+Matrix serve(TransformerLM& model, std::span<const int> tokens,
+             KvCache& cache) {
+  TransformerLM::ServeSegment seg;
+  seg.tokens = tokens;
+  seg.cache = &cache;
+  return model.forward_serve({&seg, 1});
+}
+
 TEST(KvCache, BulkCachedForwardMatchesFullForward) {
   TransformerLM model = make_model();
   const Matrix full = model.forward(kTokens);
   KvCache cache;
-  const Matrix cached = model.forward_cached(kTokens, cache);
+  const Matrix cached = serve(model, kTokens, cache);
   EXPECT_EQ(cache.length, static_cast<std::int64_t>(kTokens.size()));
   ASSERT_TRUE(full.same_shape(cached));
   for (std::int64_t i = 0; i < full.size(); ++i) {
@@ -45,7 +56,7 @@ TEST(KvCache, TokenByTokenMatchesFullForward) {
   KvCache cache;
   for (std::size_t t = 0; t < kTokens.size(); ++t) {
     const int tok[] = {kTokens[t]};
-    const Matrix logits = model.forward_cached(tok, cache);
+    const Matrix logits = serve(model, tok, cache);
     ASSERT_EQ(logits.rows(), 1);
     const auto ref = full.row(static_cast<std::int64_t>(t));
     const auto got = logits.row(0);
@@ -61,8 +72,8 @@ TEST(KvCache, ChunkedPrefillMatches) {
   KvCache cache;
   const std::vector<int> first(kTokens.begin(), kTokens.begin() + 3);
   const std::vector<int> rest(kTokens.begin() + 3, kTokens.end());
-  model.forward_cached(first, cache);
-  const Matrix tail = model.forward_cached(rest, cache);
+  serve(model, first, cache);
+  const Matrix tail = serve(model, rest, cache);
   for (std::int64_t t = 0; t < tail.rows(); ++t) {
     const auto ref = full.row(3 + t);
     const auto got = tail.row(t);
@@ -79,23 +90,23 @@ TEST(KvCache, WorksOnIdealAnalogBackend) {
     lin->to_analog(cim::TileConfig::ideal(), {}, 5);
   }
   KvCache cache;
-  const Matrix cached = model.forward_cached(kTokens, cache);
+  const Matrix cached = serve(model, kTokens, cache);
   EXPECT_LT(ops::mse(full, cached), 1e-6);
 }
 
 TEST(KvCache, ValidatesUsage) {
   TransformerLM model = make_model();
   KvCache cache;
-  EXPECT_THROW(model.forward_cached(std::vector<int>{}, cache),
+  EXPECT_THROW(serve(model, std::vector<int>{}, cache),
                std::invalid_argument);
-  EXPECT_THROW(model.forward_cached(std::vector<int>(17, 1), cache),
+  EXPECT_THROW(serve(model, std::vector<int>(17, 1), cache),
                std::invalid_argument);
-  model.forward_cached(std::vector<int>{1, 2}, cache);
-  EXPECT_THROW(model.forward_cached(std::vector<int>{99}, cache),
+  serve(model, std::vector<int>{1, 2}, cache);
+  EXPECT_THROW(serve(model, std::vector<int>{99}, cache),
                std::invalid_argument);
   KvCache foreign;
   foreign.blocks.resize(5);
-  EXPECT_THROW(model.forward_cached(std::vector<int>{1}, foreign),
+  EXPECT_THROW(serve(model, std::vector<int>{1}, foreign),
                std::invalid_argument);
 }
 
@@ -104,8 +115,8 @@ TEST(KvCache, TrimRewindsAndReplaysBitIdentically) {
   const std::vector<int> head(kTokens.begin(), kTokens.begin() + 3);
   const std::vector<int> rest(kTokens.begin() + 3, kTokens.end());
   KvCache cache;
-  model.forward_cached(head, cache);
-  const Matrix tail1 = model.forward_cached(rest, cache);
+  serve(model, head, cache);
+  const Matrix tail1 = serve(model, rest, cache);
   EXPECT_EQ(cache.length, 8);
   const std::int64_t bytes_full = cache.bytes();
   // Rewind past the tail and replay it: same cache state, same math,
@@ -113,7 +124,7 @@ TEST(KvCache, TrimRewindsAndReplaysBitIdentically) {
   cache.trim(3);
   EXPECT_EQ(cache.length, 3);
   EXPECT_LT(cache.bytes(), bytes_full);
-  const Matrix tail2 = model.forward_cached(rest, cache);
+  const Matrix tail2 = serve(model, rest, cache);
   ASSERT_TRUE(tail1.same_shape(tail2));
   EXPECT_EQ(std::memcmp(tail1.data(), tail2.data(),
                         sizeof(float) * static_cast<std::size_t>(tail1.size())),
@@ -123,7 +134,7 @@ TEST(KvCache, TrimRewindsAndReplaysBitIdentically) {
 TEST(KvCache, TrimValidates) {
   TransformerLM model = make_model();
   KvCache cache;
-  model.forward_cached(kTokens, cache);
+  serve(model, kTokens, cache);
   EXPECT_THROW(cache.trim(-1), std::invalid_argument);
   cache.trim(cache.length);  // no-op
   EXPECT_EQ(cache.length, 8);
@@ -133,7 +144,7 @@ TEST(KvCache, TrimValidates) {
   EXPECT_EQ(cache.length, 0);
   EXPECT_EQ(cache.bytes(), 0);
   // An emptied cache is immediately reusable.
-  const Matrix again = model.forward_cached(kTokens, cache);
+  const Matrix again = serve(model, kTokens, cache);
   EXPECT_EQ(cache.length, 8);
   EXPECT_EQ(again.rows(), 8);
 }
@@ -142,21 +153,21 @@ TEST(KvCache, CapacityGuardThrowsNamedErrorBeforeTouchingState) {
   TransformerLM model = make_model();
   KvCache cache;
   cache.capacity = 4;
-  model.forward_cached(std::vector<int>{1, 2, 3}, cache);
+  serve(model, std::vector<int>{1, 2, 3}, cache);
   EXPECT_EQ(cache.length, 3);
   // 2 more tokens would need length 5 > capacity 4: named error, cache
   // untouched.
-  EXPECT_THROW(model.forward_cached(std::vector<int>{4, 5}, cache),
+  EXPECT_THROW(serve(model, std::vector<int>{4, 5}, cache),
                KvCacheOverflow);
   EXPECT_EQ(cache.length, 3);
   // One more token exactly fills the capacity.
-  model.forward_cached(std::vector<int>{4}, cache);
+  serve(model, std::vector<int>{4}, cache);
   EXPECT_EQ(cache.length, 4);
-  EXPECT_THROW(model.forward_cached(std::vector<int>{5}, cache),
+  EXPECT_THROW(serve(model, std::vector<int>{5}, cache),
                KvCacheOverflow);
   // The model-level max_seq guard is the same named error.
   KvCache fresh;
-  EXPECT_THROW(model.forward_cached(std::vector<int>(17, 1), fresh),
+  EXPECT_THROW(serve(model, std::vector<int>(17, 1), fresh),
                KvCacheOverflow);
 }
 
