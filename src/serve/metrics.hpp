@@ -102,7 +102,7 @@ struct Metrics {
   // is integer picoseconds and replay-exact: a pure function of the
   // workload, bit-identical at any host thread count.
   std::int64_t sim_time_ps = 0;    // simulated clock after the last step
-  std::int64_t sim_events = 0;     // DES events dispatched across replays
+  std::int64_t sim_events = 0;     // events of the dataflow model, all replays
   std::int64_t finished_tokens = 0;  // tokens of requests that FINISHED
   std::vector<double> sim_ttft_us;   // submit -> first token, sim clock
   std::vector<double> sim_tpot_us;   // per-token decode interval, sim clock

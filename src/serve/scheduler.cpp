@@ -614,16 +614,7 @@ bool Scheduler::step() {
     metrics_.sim_link_ps += st.link_ps;
     metrics_.sim_link_transfers += st.link_transfers;
     for (const timing::LayerTiming& lt : st.layers) {
-      bool merged = false;
-      for (timing::LayerTiming& acc : timing_layers_) {
-        if (acc.layer == lt.layer) {
-          acc.ps += lt.ps;
-          acc.ops += lt.ops;
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) timing_layers_.push_back(lt);
+      timing::add_layer_timing(timing_layers_, lt.layer, lt.ps, lt.ops);
     }
   }
 

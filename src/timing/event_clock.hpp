@@ -1,4 +1,6 @@
-// Discrete-event simulation kernel for the hardware timing co-simulator.
+// Discrete-event simulation kernel. HwModel computes analog ops with an
+// in-order recurrence instead; this clock is the kernel of the reference
+// per-block simulator that test_timing checks that recurrence against.
 //
 // Determinism contract: events dispatch in (timestamp, schedule order) —
 // ties broken by a monotonically increasing sequence number — so replaying

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
-#include "timing/event_clock.hpp"
 #include "timing/resource.hpp"
 
 namespace nora::timing {
@@ -29,6 +27,19 @@ void check_op(const TimingOp& op) {
 }
 
 }  // namespace
+
+void add_layer_timing(std::vector<LayerTiming>& layers,
+                      const std::string& layer, std::int64_t ps,
+                      std::int64_t ops) {
+  for (LayerTiming& lt : layers) {
+    if (lt.layer == layer) {
+      lt.ps += ps;
+      lt.ops += ops;
+      return;
+    }
+  }
+  layers.push_back(LayerTiming{layer, ps, ops});
+}
 
 void TimingConfig::validate() const {
   if (pipeline_depth < 1) {
@@ -112,33 +123,22 @@ std::int64_t HwModel::analog_op_ps(const TimingOp& op,
     }
     return ps;
   }
-  const std::int64_t tokens = op.rows;
   const std::int64_t R = op.row_blocks;
   const std::int64_t C = op.col_blocks;
-  const std::int64_t depth = cfg_.pipeline_depth;
 
   // Partial-sum transfer per (row block > 0, column block): one fp32 per
   // output column of that block. Column widths are reconstructed from the
-  // even n / col_blocks partition the tile grid uses.
+  // even n / col_blocks partition the tile grid uses. A row block's C
+  // transfers reach the link together and are served back to back, so
+  // they are granted as one hop of their summed (per-column rounded) time.
   const std::int64_t base_cols = ceil_div(op.n, C);
-  std::vector<std::int64_t> link_ps_by_col(static_cast<std::size_t>(C));
+  std::int64_t row_hop_ps = 0;
   for (std::int64_t c = 0; c < C; ++c) {
-    const std::int64_t width =
-        std::min(base_cols, op.n - c * base_cols) > 0
-            ? std::min(base_cols, op.n - c * base_cols)
-            : base_cols;
+    const std::int64_t rest = op.n - c * base_cols;
+    const std::int64_t width = rest > 0 ? std::min(base_cols, rest) : base_cols;
     const double ns = static_cast<double>(width) * 4.0 / cfg_.link_bytes_per_ns;
-    link_ps_by_col[static_cast<std::size_t>(c)] = std::llround(ns * 1000.0);
+    row_hop_ps += std::llround(ns * 1000.0);
   }
-
-  EventClock clock;
-  std::vector<Resource> dac(static_cast<std::size_t>(R));
-  std::vector<Resource> tile(static_cast<std::size_t>(R * C));
-  std::vector<Resource> adc(static_cast<std::size_t>(C));
-  Resource link;
-
-  std::vector<std::int64_t> remaining(static_cast<std::size_t>(tokens), R * C);
-  std::int64_t finish_ps = 0;
 
   // Per-token dataflow: each row block converts the token's input slice
   // (DAC), every tile in the row fires (crossbar), each column group's
@@ -146,55 +146,33 @@ std::int64_t HwModel::analog_op_ps(const TimingOp& op,
   // blocks beyond the first ship partial sums over the link. A token
   // completes when all R*C tile results have landed; token t + depth
   // issues at that instant (sliding in-flight window of `depth` tokens).
-  std::function<void(std::int64_t)> start_token;
-  std::function<void(std::int64_t, std::int64_t)> after_dac;
-  std::function<void(std::int64_t, std::int64_t, std::int64_t)> after_xbar;
-  std::function<void(std::int64_t, std::int64_t, std::int64_t)> after_adc;
-  std::function<void(std::int64_t)> land;
-
-  start_token = [&](std::int64_t t) {
-    for (std::int64_t r = 0; r < R; ++r) {
-      const std::int64_t done =
-          dac[static_cast<std::size_t>(r)].acquire(clock.now_ps(), dac_ps_);
-      clock.schedule_at(done, [&, t, r] { after_dac(t, r); });
+  //
+  // One FIFO server per stage class reproduces the per-block servers
+  // exactly: every server of a class sees the same arrivals (all R DAC
+  // banks the issue time, all R*C crossbars the DAC completion, all C
+  // ADC groups R requests at the crossbar completion), and every server
+  // grants in (token, row block, column) order — the loop order below,
+  // with the columns folded into one hop. Grants are monotone in that
+  // order, so a token's last grant is its finish and the last token's
+  // finish is the op's.
+  const auto tokens = static_cast<std::size_t>(op.rows);
+  const auto depth = static_cast<std::size_t>(cfg_.pipeline_depth);
+  Resource dac, xbar, adc, link;
+  std::vector<std::int64_t> finish(tokens);
+  for (std::size_t t = 0; t < tokens; ++t) {
+    const std::int64_t issue = t < depth ? 0 : finish[t - depth];
+    const std::int64_t x = xbar.acquire(dac.acquire(issue, dac_ps_), xbar_ps_);
+    finish[t] = adc.acquire(x, adc_ps_);  // row block 0 accumulates in place
+    for (std::int64_t r = 1; r < R; ++r) {
+      finish[t] = link.acquire(adc.acquire(x, adc_ps_), row_hop_ps);
     }
-  };
-  after_dac = [&](std::int64_t t, std::int64_t r) {
-    for (std::int64_t c = 0; c < C; ++c) {
-      const std::int64_t done = tile[static_cast<std::size_t>(r * C + c)]
-                                    .acquire(clock.now_ps(), xbar_ps_);
-      clock.schedule_at(done, [&, t, r, c] { after_xbar(t, r, c); });
-    }
-  };
-  after_xbar = [&](std::int64_t t, std::int64_t r, std::int64_t c) {
-    const std::int64_t done =
-        adc[static_cast<std::size_t>(c)].acquire(clock.now_ps(), adc_ps_);
-    clock.schedule_at(done, [&, t, r, c] { after_adc(t, r, c); });
-  };
-  after_adc = [&](std::int64_t t, std::int64_t r, std::int64_t c) {
-    if (r == 0) {
-      land(t);  // row block 0 accumulates in place: no transfer
-      return;
-    }
-    const std::int64_t done = link.acquire(
-        clock.now_ps(), link_ps_by_col[static_cast<std::size_t>(c)]);
-    clock.schedule_at(done, [&, t] { land(t); });
-  };
-  land = [&](std::int64_t t) {
-    if (--remaining[static_cast<std::size_t>(t)] == 0) {
-      finish_ps = std::max(finish_ps, clock.now_ps());
-      const std::int64_t next = t + depth;
-      if (next < tokens) start_token(next);
-    }
-  };
-
-  for (std::int64_t t = 0; t < std::min(depth, tokens); ++t) {
-    start_token(t);
   }
-  clock.run();
-
-  if (events_out != nullptr) *events_out = clock.processed();
-  return finish_ps;
+  // Events of the dataflow model per token: R DAC, R*C crossbar and R*C
+  // ADC completions plus (R-1)*C partial-sum landings.
+  if (events_out != nullptr) {
+    *events_out = op.rows * (R + 2 * R * C + (R - 1) * C);
+  }
+  return finish.back();
 }
 
 std::int64_t HwModel::digital_op_ps(const TimingOp& op) const {
@@ -229,19 +207,7 @@ StepTiming HwModel::replay(const Trace& trace) const {
     const std::int64_t ps = op_ps(op, &events);
     st.total_ps += ps;
     st.events += events;
-    LayerTiming* entry = nullptr;
-    for (LayerTiming& lt : st.layers) {
-      if (lt.layer == op.layer) {
-        entry = &lt;
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      st.layers.push_back(LayerTiming{op.layer, 0, 0});
-      entry = &st.layers.back();
-    }
-    entry->ps += ps;
-    entry->ops += 1;
+    add_layer_timing(st.layers, op.layer, ps, 1);
   }
   return st;
 }
@@ -279,19 +245,8 @@ StepTiming HwModel::replay_pipelined(const Trace& trace) const {
       st.link_ps += out_link[i - 1] * M;
       st.link_transfers += M;
     }
-    LayerTiming* entry = nullptr;
-    for (LayerTiming& lt : st.layers) {
-      if (lt.layer == op.layer) {
-        entry = &lt;
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      st.layers.push_back(LayerTiming{op.layer, 0, 0});
-      entry = &st.layers.back();
-    }
-    entry->ps += mb_ps[i] * M;  // attribution = busy time over all mbs
-    entry->ops += 1;
+    // Attribution = busy time over all microbatches.
+    add_layer_timing(st.layers, op.layer, mb_ps[i] * M, 1);
   }
   // Makespan = pipeline fill (the first microbatch traverses every op
   // and boundary once) + steady state (each later microbatch advances

@@ -1,17 +1,21 @@
-// Event-driven hardware model: replays a forward-pass Trace against
-// resource models of the analog datapath (per-row-block DAC banks, per-tile
-// MVM pipelines, shared per-column-group ADCs, inter-tile partial-sum
-// links) and returns simulated-hardware latencies.
+// Hardware timing model: replays a forward-pass Trace against resource
+// models of the analog datapath (per-row-block DAC banks, per-tile MVM
+// pipelines, shared per-column-group ADCs, inter-tile partial-sum links)
+// and returns simulated-hardware latencies.
+//
+// An analog op is an in-order recurrence over tokens through one FIFO
+// Resource per stage class (DAC, crossbar, ADC, link), exact against the
+// per-block EventClock simulation test_timing keeps as its oracle.
 //
 // Reconciliation with cost::cost_model: the stage durations are a split of
 // the same DeviceCosts::tile_read_latency_ns constant the analytic model
 // charges per token, and the three stage durations sum EXACTLY to
 // llround(tile_read_latency_ns * 1000) ps. For a single unpipelined tile
-// (row_blocks == col_blocks == pipeline_depth == 1) the event-driven
-// latency therefore degenerates to the analytic tokens * tile_read —
-// asserted in test_cost_sim_consistency. Digital/int8/attention ops use
-// the same compute-vs-weight-stream max() as cost::digital_linear_cost
-// (kept in lock-step by the same test).
+// (row_blocks == col_blocks == pipeline_depth == 1) the modelled latency
+// therefore degenerates to the analytic tokens * tile_read — asserted in
+// test_cost_sim_consistency. Digital/int8/attention ops use the same
+// compute-vs-weight-stream max() as cost::digital_linear_cost (kept in
+// lock-step by the same test).
 #pragma once
 
 #include <cstdint>
@@ -52,12 +56,18 @@ struct LayerTiming {
 
 struct StepTiming {
   std::int64_t total_ps = 0;  // simulated duration of the whole step
-  std::int64_t events = 0;    // DES events dispatched (replay-exactness probe)
+  std::int64_t events = 0;  // events of the dataflow model (exactness probe)
   // Inter-chip link traffic (multi-chip replay only; zero otherwise).
   std::int64_t link_ps = 0;         // total link busy time across transfers
   std::int64_t link_transfers = 0;  // pipeline-boundary activation transfers
   std::vector<LayerTiming> layers;  // first-appearance order
 };
+
+/// Add `ps` and `ops` to `layer`'s entry, appending a new entry on the
+/// layer's first appearance (so `layers` stays in first-appearance order).
+void add_layer_timing(std::vector<LayerTiming>& layers,
+                      const std::string& layer, std::int64_t ps,
+                      std::int64_t ops);
 
 class HwModel {
  public:
@@ -72,8 +82,8 @@ class HwModel {
   std::int64_t xbar_ps() const { return xbar_ps_; }
   std::int64_t adc_ps() const { return adc_ps_; }
 
-  /// Event-driven latency of one analog MVM op; if `events_out` is
-  /// non-null it receives the number of DES events dispatched. Ops with
+  /// Latency of one analog MVM op; if `events_out` is non-null it
+  /// receives the op's events of the dataflow model. Ops with
   /// tp_chips > 1 simulate the per-chip sub-grid (ceil-split along
   /// tp_axis) and add the inter-chip collective: a log2-round all-reduce
   /// of full-width fp32 partials for row splits, a single gather of the

@@ -1,9 +1,10 @@
-// Single-server FIFO resource on the EventClock timeline. DAC banks, tile
-// MVM pipelines, shared ADC column groups and inter-tile transfer links are
-// all instances of the same contention model: a request that arrives while
-// the server is busy waits until the previous grant drains. Because grants
-// are issued in event-dispatch order and the clock dispatches in (time,
-// seq) order, the queueing discipline is FIFO and fully deterministic.
+// Single-server FIFO resource on the integer-picosecond timeline. DAC
+// banks, tile MVM pipelines, shared ADC column groups and inter-tile
+// transfer links are all instances of the same contention model: a
+// request that arrives while the server is busy waits until the previous
+// grant drains. Requests made in time order (EventClock dispatch, or
+// HwModel's in-order recurrence) make the queueing discipline FIFO and
+// fully deterministic.
 #pragma once
 
 #include <algorithm>

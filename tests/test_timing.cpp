@@ -3,13 +3,17 @@
 // Three layers of guarantees: (1) the discrete-event kernel itself —
 // strict time ordering, FIFO ties, zero-duration events that terminate,
 // rejection of time moving backwards; (2) the hardware resource model —
-// pipelining, shared-ADC serialization, replay goldens; (3) the serving
+// pipelining, shared-ADC serialization, replay goldens, and the in-order
+// recurrence checked against a per-block event simulation; (3) the serving
 // integration — simulated time is a pure function of the op trace
 // (bit-identical at any tile thread count), timing.enabled=false is a
 // strict no-op on the data path, and the batching policy moves latency
 // but never tokens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -111,6 +115,124 @@ TEST(Resource, SerializesGrantsFifo) {
   EXPECT_THROW(adc.acquire(-1, 10), std::invalid_argument);
   EXPECT_THROW(adc.acquire(0, -10), std::invalid_argument);
   EXPECT_EQ(adc.acquire(60, 0), 60);  // zero-duration grant is legal
+}
+
+// ------------------------------------------------ reference simulator
+
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return (a + b - 1) / b;
+}
+
+// Discrete-event reference for HwModel::analog_op_ps: per-row-block DAC
+// banks, per-tile crossbars and per-column ADC groups as separate
+// Resources, driven by closures on an EventClock. `events_out` receives
+// the events the clock dispatched.
+std::int64_t des_analog_op_ps(const HwModel& hw, const TimingOp& op,
+                              std::int64_t* events_out) {
+  const TimingConfig& cfg = hw.config();
+  if (op.tp_chips > 1 && op.tp_axis != ShardAxis::kNone) {
+    const std::int64_t extent = op.tp_axis == ShardAxis::kRowBlocks
+                                    ? op.row_blocks
+                                    : op.col_blocks;
+    const std::int64_t tc =
+        std::min<std::int64_t>(op.tp_chips, std::max<std::int64_t>(1, extent));
+    TimingOp sub = op;
+    sub.tp_chips = 1;
+    sub.tp_axis = ShardAxis::kNone;
+    if (op.tp_axis == ShardAxis::kRowBlocks) {
+      sub.row_blocks = ceil_div(op.row_blocks, tc);
+    } else {
+      sub.col_blocks = ceil_div(op.col_blocks, tc);
+      sub.n = ceil_div(op.n, tc);
+    }
+    std::int64_t ps = des_analog_op_ps(hw, sub, events_out);
+    if (tc > 1) {
+      std::int64_t rounds = 1;
+      if (op.tp_axis == ShardAxis::kRowBlocks) {
+        rounds = 0;
+        for (std::int64_t span = 1; span < tc; span *= 2) ++rounds;
+      }
+      const double bytes = static_cast<double>(op.n) * 4.0;
+      const double hop_ns = cfg.costs.chip_link_latency_ns +
+                            bytes / cfg.costs.chip_link_bytes_per_ns;
+      ps += op.rows * rounds * std::llround(hop_ns * 1000.0);
+    }
+    return ps;
+  }
+  const std::int64_t tokens = op.rows;
+  const std::int64_t R = op.row_blocks;
+  const std::int64_t C = op.col_blocks;
+  const std::int64_t depth = cfg.pipeline_depth;
+
+  const std::int64_t base_cols = ceil_div(op.n, C);
+  std::vector<std::int64_t> link_ps_by_col(static_cast<std::size_t>(C));
+  for (std::int64_t c = 0; c < C; ++c) {
+    const std::int64_t width =
+        std::min(base_cols, op.n - c * base_cols) > 0
+            ? std::min(base_cols, op.n - c * base_cols)
+            : base_cols;
+    const double ns = static_cast<double>(width) * 4.0 / cfg.link_bytes_per_ns;
+    link_ps_by_col[static_cast<std::size_t>(c)] = std::llround(ns * 1000.0);
+  }
+
+  EventClock clock;
+  std::vector<Resource> dac(static_cast<std::size_t>(R));
+  std::vector<Resource> tile(static_cast<std::size_t>(R * C));
+  std::vector<Resource> adc(static_cast<std::size_t>(C));
+  Resource link;
+
+  std::vector<std::int64_t> remaining(static_cast<std::size_t>(tokens), R * C);
+  std::int64_t finish_ps = 0;
+
+  std::function<void(std::int64_t)> start_token;
+  std::function<void(std::int64_t, std::int64_t)> after_dac;
+  std::function<void(std::int64_t, std::int64_t, std::int64_t)> after_xbar;
+  std::function<void(std::int64_t, std::int64_t, std::int64_t)> after_adc;
+  std::function<void(std::int64_t)> land;
+
+  start_token = [&](std::int64_t t) {
+    for (std::int64_t r = 0; r < R; ++r) {
+      const std::int64_t done =
+          dac[static_cast<std::size_t>(r)].acquire(clock.now_ps(), hw.dac_ps());
+      clock.schedule_at(done, [&, t, r] { after_dac(t, r); });
+    }
+  };
+  after_dac = [&](std::int64_t t, std::int64_t r) {
+    for (std::int64_t c = 0; c < C; ++c) {
+      const std::int64_t done = tile[static_cast<std::size_t>(r * C + c)]
+                                    .acquire(clock.now_ps(), hw.xbar_ps());
+      clock.schedule_at(done, [&, t, r, c] { after_xbar(t, r, c); });
+    }
+  };
+  after_xbar = [&](std::int64_t t, std::int64_t r, std::int64_t c) {
+    const std::int64_t done =
+        adc[static_cast<std::size_t>(c)].acquire(clock.now_ps(), hw.adc_ps());
+    clock.schedule_at(done, [&, t, r, c] { after_adc(t, r, c); });
+  };
+  after_adc = [&](std::int64_t t, std::int64_t r, std::int64_t c) {
+    if (r == 0) {
+      land(t);  // row block 0 accumulates in place: no transfer
+      return;
+    }
+    const std::int64_t done = link.acquire(
+        clock.now_ps(), link_ps_by_col[static_cast<std::size_t>(c)]);
+    clock.schedule_at(done, [&, t] { land(t); });
+  };
+  land = [&](std::int64_t t) {
+    if (--remaining[static_cast<std::size_t>(t)] == 0) {
+      finish_ps = std::max(finish_ps, clock.now_ps());
+      const std::int64_t next = t + depth;
+      if (next < tokens) start_token(next);
+    }
+  };
+
+  for (std::int64_t t = 0; t < std::min(depth, tokens); ++t) {
+    start_token(t);
+  }
+  clock.run();
+
+  if (events_out != nullptr) *events_out = clock.processed();
+  return finish_ps;
 }
 
 // ------------------------------------------------------- config/hwmodel
@@ -240,6 +362,92 @@ TEST(HwModel, ReplayGolden) {
   EXPECT_EQ(st.layers[0].ps, 301500);
   EXPECT_EQ(st.layers[1].layer, "lm_head");
   EXPECT_EQ(st.layers[1].ps, 45000);
+}
+
+TEST(HwModel, PipelinedGoldens) {
+  // Depth > 1 pinned exactly (values from the event-driven simulator).
+  TimingConfig cfg;
+  cfg.pipeline_depth = 4;
+  const HwModel hw(cfg);
+  TimingOp op;
+  op.kind = OpKind::kAnalogMvm;
+  op.layer = "l";
+  op.rows = 16;
+  op.k = 48;
+  op.n = 20;
+  op.row_blocks = 3;
+  op.col_blocks = 2;
+  std::int64_t events = 0;
+  EXPECT_EQ(hw.analog_op_ps(op, &events), 2451250);
+  EXPECT_EQ(events, 304);
+
+  op.row_blocks = 4;
+  op.col_blocks = 2;
+  op.tp_chips = 2;
+  op.tp_axis = ShardAxis::kRowBlocks;
+  EXPECT_EQ(hw.analog_op_ps(op, &events), 2011250);
+  EXPECT_EQ(events, 192);
+}
+
+TEST(HwModel, RecurrenceMatchesEventSimulation) {
+  // Fixed-seed sweep over the corners the exactness argument leans on:
+  // deep in-flight windows, ragged column widths, zero-duration DAC and
+  // crossbar stages, tiles of a few ps, hops that round to 0 ps, and
+  // tensor-parallel splits (whose per-chip sub-grid recurses).
+  std::mt19937_64 rng(20261017);
+  const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(
+                    rng() % static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  const auto frac = [&pick](std::int64_t hi) {  // 0 one time in four
+    return pick(0, 3) == 0 ? 0.0 : 0.05 * static_cast<double>(pick(1, hi));
+  };
+  constexpr int kConfigs = 20000;
+  for (int i = 0; i < kConfigs; ++i) {
+    TimingConfig cfg;
+    cfg.pipeline_depth = static_cast<int>(pick(1, 9));
+    cfg.dac_frac = frac(6);
+    cfg.xbar_frac = frac(8);
+    if (pick(0, 4) == 0) {  // a few ps per tile: stages round to 0-9 ps
+      cfg.costs.tile_read_latency_ns = 0.001 * static_cast<double>(pick(1, 9));
+    }
+    // 1e6 B/ns rounds every partial-sum hop to 0 ps.
+    cfg.link_bytes_per_ns =
+        pick(0, 4) == 0 ? 1e6 : 8.0 * static_cast<double>(pick(1, 16));
+    const HwModel hw(cfg);
+
+    TimingOp op;
+    op.kind = OpKind::kAnalogMvm;
+    op.layer = "sweep";
+    // The oracle allocates a closure per event, so nested picks skew
+    // toward small grids, and rows are capped near 80 events per op (one
+    // row always runs; a single tile keeps up to 40 rows).
+    op.row_blocks = pick(1, pick(1, 7));
+    op.col_blocks = pick(1, pick(1, 7));
+    const std::int64_t R = op.row_blocks;
+    const std::int64_t C = op.col_blocks;
+    const std::int64_t max_rows =
+        R * C == 1 ? 40 : 80 / (R + 2 * R * C + (R - 1) * C);
+    op.rows = std::max<std::int64_t>(
+        1, std::min(pick(1, pick(1, 40)), max_rows));
+    op.k = 8 * op.row_blocks;
+    op.n = pick(1, 12 * op.col_blocks);  // ragged, possibly < col_blocks
+    if (pick(0, 3) == 0) {
+      op.tp_chips = static_cast<int>(pick(2, 8));
+      op.tp_axis = pick(0, 1) == 0 ? ShardAxis::kRowBlocks
+                                   : ShardAxis::kColBlocks;
+    }
+
+    std::int64_t want_events = -1;
+    std::int64_t got_events = -2;
+    const std::int64_t want = des_analog_op_ps(hw, op, &want_events);
+    const std::int64_t got = hw.analog_op_ps(op, &got_events);
+    ASSERT_EQ(got, want) << "config " << i << ": depth " << cfg.pipeline_depth
+                         << " grid " << op.row_blocks << "x" << op.col_blocks
+                         << " rows " << op.rows << " n " << op.n << " tp "
+                         << op.tp_chips;
+    ASSERT_EQ(got_events, want_events) << "config " << i;
+  }
 }
 
 TEST(HwModel, RejectsMalformedOps) {
