@@ -52,14 +52,15 @@ namespace {
 /// ADC-serialized (row-split-scalable) share of each op's latency well
 /// above the fixed DAC/link/attention overheads. Noise + ABFT stay on:
 /// the invariance claim is about the noisy operating point, not an
-/// ideal array.
+/// ideal array. Every analog layer runs on the global pool at n_threads;
+/// thread invariance keeps every printed number identical at any width.
 cim::TileConfig bench_tiles() {
   cim::TileConfig cfg = cim::TileConfig::paper_table2();
   cfg.tile_rows = 4;
   cfg.tile_cols = 16;
   cfg.in_noise = 0.02f;
   cfg.abft_checksum = true;
-  cfg.n_threads = 1;
+  cfg.n_threads = 4;
   return cfg;
 }
 
@@ -158,8 +159,8 @@ int main(int argc, char** argv) {
   const auto prompts = make_prompts(batch, static_cast<int>(
                                                spec.arch.vocab_size));
   const timing::HwModel hw(sim_cfg);
-  // One chip set sized for the largest sweep point; smaller plans use a
-  // prefix of its pools (the set must outlive every installed plan).
+  // One chip set sized for the largest sweep point; smaller plans place
+  // their layers on a prefix of its chips.
   shard::ChipSet chips(chip_counts.back(), 1);
 
   // --- phase 1: chip invariance (bit-identical outputs) --------------

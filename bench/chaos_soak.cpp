@@ -9,7 +9,8 @@
 //
 // Acceptance criteria (any miss exits nonzero):
 //   * zero Auditor violations across the whole soak + idle drain;
-//   * zero leaked KV slabs (lifetime acquires == releases, pool empty);
+//   * zero leaked KV slabs (lifetime acquires == releases, no live
+//     leases, and the idle pool holds only resident prefix tokens);
 //   * every submitted request ends in exactly one terminal state;
 //   * >= 99% of non-rejected requests eventually finish;
 //   * the first 500 steps replay bit-identically under the same seed;
@@ -373,7 +374,8 @@ int run_net_mode(std::uint64_t seed, std::int64_t steps) {
     std::printf("  VIOLATION: %s\n", out.violations[i].c_str());
   }
   criterion("zero leaked KV slabs:",
-            out.snap.pool_live == 0 && out.snap.pool_used == 0 &&
+            out.snap.pool_live == 0 &&
+                out.snap.pool_used == out.snap.pool_prefix_tokens &&
                 out.snap.pool_acquires == out.snap.pool_releases);
   criterion("every request terminal:",
             terminal == static_cast<std::int64_t>(out.snap.states.size()));
@@ -532,7 +534,8 @@ int main(int argc, char** argv) {
   criterion("drained to idle (no livelock):", out.drained);
   criterion("zero auditor violations:", out.violations.empty());
   criterion("zero leaked KV slabs:",
-            out.snap.pool_live == 0 && out.snap.pool_used == 0 &&
+            out.snap.pool_live == 0 &&
+                out.snap.pool_used == out.snap.pool_prefix_tokens &&
                 out.snap.pool_acquires == out.snap.pool_releases);
   criterion("every request terminal:",
             terminal == static_cast<std::int64_t>(out.snap.states.size()));

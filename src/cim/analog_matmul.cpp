@@ -12,6 +12,21 @@
 
 namespace nora::cim {
 
+namespace {
+
+/// fn(0) .. fn(items - 1) on the global pool when n_threads > 1, else
+/// inline. The pool only decides who runs an item, never what it computes.
+template <class Fn>
+void run_items(int n_threads, std::int64_t items, const Fn& fn) {
+  if (n_threads > 1) {
+    util::ThreadPool::global().parallel_for(items, fn);
+  } else {
+    for (std::int64_t i = 0; i < items; ++i) fn(i);
+  }
+}
+
+}  // namespace
+
 AnalogMatmul::AnalogMatmul(const Matrix& w, std::vector<float> s,
                            const TileConfig& cfg, std::uint64_t seed)
     : cfg_(cfg),
@@ -76,7 +91,8 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
                                  std::size_t ti1, bool commit_dac,
                                  StreamKey key, std::span<const float> xrow,
                                  float avg_alpha_b, std::span<float> y,
-                                 BlockWork& work) const {
+                                 ArrayStats& stats,
+                                 std::span<TileRunCounters> tiles) const {
   const RowBlock& block = blocks_[b];
   const std::int64_t nk = block.k1 - block.k0;
   // Per-thread workspace: pool workers (and the calling thread) are
@@ -87,6 +103,7 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
   struct Workspace {
     std::vector<float> xs, xhat;
     std::vector<double> in_noise;
+    std::vector<TileRunCounters> counters;
     TileMvmScratch tile;
   };
   thread_local Workspace ws;
@@ -115,7 +132,13 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
       alpha = avg_alpha_b;
       break;
   }
-  work.tiles.assign(block.tiles.size(), TileRunCounters{});
+  // The tile MVM bumps its counters once per column. Neighbouring items'
+  // result slots share cache lines, so count in thread-private storage
+  // and publish once, at the end.
+  const std::size_t n_tiles = ti1 - ti0;
+  if (ws.counters.size() < n_tiles) ws.counters.resize(n_tiles);
+  std::fill_n(ws.counters.begin(), n_tiles, TileRunCounters{});
+  stats = ArrayStats{};
   // Bound management [Gokmen'17]: rerun with doubled alpha while the
   // ADC saturates (weaker signal, but no output clipping). Each attempt
   // keys its own noise streams on (stream, token, block, attempt), so a
@@ -215,22 +238,23 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
           tile.mvm(x_hat, x_l2, alpha,
                    y.subspan(static_cast<std::size_t>(block.col0[ti]),
                              static_cast<std::size_t>(tile.cols())),
-                   tile_rng, abft ? &abft_rng : nullptr, work.tiles[ti],
+                   tile_rng, abft ? &abft_rng : nullptr, ws.counters[ti - ti0],
                    ws.tile);
     }
     if (!saturated || !cfg_.bound_management || iter >= cfg_.bm_max_iters) {
       if (commit_dac) {
-        work.stats.dac_samples += dac_samples;
-        work.stats.dac_clipped += dac_clipped;
+        stats.dac_samples += dac_samples;
+        stats.dac_clipped += dac_clipped;
       }
       break;
     }
     alpha *= 2.0f;
     ++iter;
-    ++work.stats.bm_retries;
+    ++stats.bm_retries;
   }
-  work.stats.alpha_sum += alpha;
-  ++work.stats.alpha_count;
+  stats.alpha_sum += alpha;
+  ++stats.alpha_count;
+  std::copy_n(ws.counters.begin(), n_tiles, tiles.begin());
 }
 
 Matrix AnalogMatmul::forward(const Matrix& x) {
@@ -298,25 +322,20 @@ Matrix AnalogMatmul::forward(const Matrix& x, std::span<const StreamKey> keys) {
     }
   }
   // Fan the (token x row-block) work items over the pool. Each item
-  // writes a private output slice and a private BlockWork; the shared
+  // writes a private output slice and private result slots; the shared
   // state (stats_, y rows, tile counters) is updated afterwards in
   // canonical (token, row-block) order, so the float accumulation order
   // and every statistic are independent of the thread count.
   const std::int64_t n_blocks = static_cast<std::int64_t>(blocks_.size());
-  const bool parallel = cfg_.n_threads > 1;
-  if (parallel) util::ThreadPool::global().ensure(cfg_.n_threads);
+  if (cfg_.n_threads > 1) util::ThreadPool::global().ensure(cfg_.n_threads);
   // Token chunking bounds the private-slice memory at ~16 MB while still
   // exposing enough items to keep every worker busy.
   const std::int64_t budget = std::int64_t{1} << 22;  // floats
   const std::int64_t chunk = std::clamp<std::int64_t>(
       budget / std::max<std::int64_t>(1, n_blocks * n_), 1,
       std::max<std::int64_t>(1, t_count));
-  // Member scratch: assign() resets contents but retains capacity (and,
-  // for works_, each BlockWork's inner counter capacity), so repeated
-  // forwards of the same shape — every decode step — reuse the same
-  // storage with no allocation.
   std::vector<float>& partial = partial_;
-  std::vector<BlockWork>& works = works_;
+  const std::size_t n_cols = static_cast<std::size_t>(col_blocks());
   for (std::int64_t tc0 = 0; tc0 < t_count; tc0 += chunk) {
     const std::int64_t tc1 = std::min(t_count, tc0 + chunk);
     if (sharded_) {
@@ -325,36 +344,36 @@ Matrix AnalogMatmul::forward(const Matrix& x, std::span<const StreamKey> keys) {
     }
     const std::int64_t items = (tc1 - tc0) * n_blocks;
     partial.resize(static_cast<std::size_t>(items * n_));
-    works.assign(static_cast<std::size_t>(items), BlockWork{});
+    item_stats_.resize(static_cast<std::size_t>(items));
+    item_tiles_.resize(static_cast<std::size_t>(items) * n_cols);
     auto run_item = [&](std::int64_t i) {
       const std::int64_t t = tc0 + i / n_blocks;
       const std::size_t b = static_cast<std::size_t>(i % n_blocks);
-      run_work_item(b, 0, blocks_[b].tiles.size(), true,
+      const std::size_t slot = static_cast<std::size_t>(i);
+      run_work_item(b, 0, n_cols, true,
                     keys[static_cast<std::size_t>(t)], x.row(t),
                     avg_alpha[b * static_cast<std::size_t>(n_groups) +
                               static_cast<std::size_t>(
                                   group_of[static_cast<std::size_t>(t)])],
                     std::span<float>(partial.data() + i * n_,
                                      static_cast<std::size_t>(n_)),
-                    works[static_cast<std::size_t>(i)]);
+                    item_stats_[slot],
+                    std::span<TileRunCounters>(
+                        item_tiles_.data() + slot * n_cols, n_cols));
     };
-    if (parallel) {
-      util::ThreadPool::global().parallel_for(items, run_item);
-    } else {
-      for (std::int64_t i = 0; i < items; ++i) run_item(i);
-    }
+    run_items(cfg_.n_threads, items, run_item);
     // Deterministic serial reduction.
     for (std::int64_t t = tc0; t < tc1; ++t) {
       auto yrow = y.row(t);
       for (std::int64_t b = 0; b < n_blocks; ++b) {
         const std::int64_t i = (t - tc0) * n_blocks + b;
-        BlockWork& work = works[static_cast<std::size_t>(i)];
-        stats_.accumulate(work.stats);
+        stats_.accumulate(item_stats_[static_cast<std::size_t>(i)]);
         const float* p = partial.data() + i * n_;
         for (std::int64_t j = 0; j < n_; ++j) yrow[j] += p[j];
         auto& tiles = blocks_[static_cast<std::size_t>(b)].tiles;
-        for (std::size_t ti = 0; ti < tiles.size(); ++ti) {
-          tiles[ti]->add_run_counters(work.tiles[ti]);
+        for (std::size_t ti = 0; ti < n_cols; ++ti) {
+          tiles[ti]->add_run_counters(
+              item_tiles_[static_cast<std::size_t>(i) * n_cols + ti]);
         }
       }
       // Non-finite guard: a NaN/Inf here would silently poison every
@@ -376,10 +395,6 @@ void AnalogMatmul::set_shard_plan(ShardPlan plan) {
   if (plan.n_chips < 1) {
     throw std::invalid_argument("AnalogMatmul: shard plan needs >= 1 chip");
   }
-  if (plan.pools.size() != static_cast<std::size_t>(plan.n_chips)) {
-    throw std::invalid_argument(
-        "AnalogMatmul: shard plan needs one pool slot per chip");
-  }
   shard_ = std::move(plan);
   sharded_ = true;
 }
@@ -399,7 +414,8 @@ void AnalogMatmul::run_chunk_sharded(const Matrix& x,
   const std::int64_t slots = rows * n_blocks;   // (token, row-block) rows
   const std::int64_t items = slots * n_cols;    // (token, row-block, tile)
   partial_.resize(static_cast<std::size_t>(slots * n_));
-  works_.assign(static_cast<std::size_t>(items), BlockWork{});
+  item_stats_.resize(static_cast<std::size_t>(items));
+  item_tiles_.resize(static_cast<std::size_t>(items));
   auto run_item = [&](std::int64_t i) {
     const std::int64_t t = tc0 + i / (n_blocks * n_cols);
     const std::int64_t rem = i % (n_blocks * n_cols);
@@ -413,48 +429,15 @@ void AnalogMatmul::run_chunk_sharded(const Matrix& x,
                                  group_of_[static_cast<std::size_t>(t)])],
                   std::span<float>(partial_.data() + slot * n_,
                                    static_cast<std::size_t>(n_)),
-                  works_[static_cast<std::size_t>(i)]);
+                  item_stats_[static_cast<std::size_t>(i)],
+                  std::span<TileRunCounters>(
+                      &item_tiles_[static_cast<std::size_t>(i)], 1));
   };
-  // Chip ownership: ceil-balanced CONTIGUOUS ranges of the shard axis
-  // (row blocks or tile columns). Each chip's item list is a pure
-  // function of (grid shape, plan), never of execution order; every item
-  // lands on exactly one chip, so any plan runs the identical item set.
-  const int n_chips = shard_.n_chips;
-  const std::int64_t extent =
-      shard_.axis == ShardAxis::kRowBlocks ? n_blocks : n_cols;
-  if (static_cast<int>(chip_items_.size()) != n_chips) {
-    chip_items_.resize(static_cast<std::size_t>(n_chips));
-  }
-  for (auto& list : chip_items_) list.clear();
-  for (std::int64_t i = 0; i < items; ++i) {
-    const std::int64_t rem = i % (n_blocks * n_cols);
-    const std::int64_t e = shard_.axis == ShardAxis::kRowBlocks
-                               ? rem / n_cols
-                               : rem % n_cols;
-    // element e -> chip floor(e * n_chips / extent) of the balanced split
-    const std::int64_t chip = extent > 0 ? e * n_chips / extent : 0;
-    chip_items_[static_cast<std::size_t>(chip)].push_back(i);
-  }
-  // Chips execute concurrently (outer fan over the global pool), each
-  // draining its own item list on its own pool domain. Items write
-  // disjoint column spans of their (token, row-block) partial row and
-  // private BlockWork slots, so the fan-out is race-free by layout.
-  util::ThreadPool& host = util::ThreadPool::global();
-  host.ensure(n_chips);
-  host.parallel_for(n_chips, [&](std::int64_t c) {
-    const auto& list = chip_items_[static_cast<std::size_t>(c)];
-    if (list.empty()) return;
-    util::ThreadPool* pool = shard_.pools[static_cast<std::size_t>(c)];
-    auto run_local = [&](std::int64_t j) {
-      run_item(list[static_cast<std::size_t>(j)]);
-    };
-    const std::int64_t local = static_cast<std::int64_t>(list.size());
-    if (pool != nullptr && pool->threads() > 1) {
-      pool->parallel_for(local, run_local);
-    } else {
-      for (std::int64_t j = 0; j < local; ++j) run_local(j);
-    }
-  });
+  // The plan only decides which chips the timing model charges: items
+  // write disjoint column spans of their (token, row-block) partial row
+  // and private result slots, so they fan over the same pool as the
+  // unsharded path, balanced over the whole grid.
+  run_items(cfg_.n_threads, items, run_item);
   // Deterministic reduction, independent of the plan: statistics fold
   // serially in canonical (token, row-block, tile) order, partial sums
   // reduce over row blocks through a canonical stride-doubling tree —
@@ -465,10 +448,9 @@ void AnalogMatmul::run_chunk_sharded(const Matrix& x,
       auto& tiles = blocks_[static_cast<std::size_t>(b)].tiles;
       for (std::int64_t ti = 0; ti < n_cols; ++ti) {
         const std::int64_t i = ((t - tc0) * n_blocks + b) * n_cols + ti;
-        BlockWork& work = works_[static_cast<std::size_t>(i)];
-        stats_.accumulate(work.stats);
+        stats_.accumulate(item_stats_[static_cast<std::size_t>(i)]);
         tiles[static_cast<std::size_t>(ti)]->add_run_counters(
-            work.tiles[static_cast<std::size_t>(ti)]);
+            item_tiles_[static_cast<std::size_t>(i)]);
       }
     }
     float* base = partial_.data() + (t - tc0) * n_blocks * n_;

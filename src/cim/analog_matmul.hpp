@@ -24,10 +24,6 @@
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
 
-namespace nora::util {
-class ThreadPool;
-}
-
 namespace nora::cim {
 
 /// Which tile-grid axis a multi-chip shard plan partitions.
@@ -38,20 +34,18 @@ enum class ShardAxis : std::uint8_t {
                    // split: chips produce disjoint output columns)
 };
 
-/// Multi-chip execution plan for ONE AnalogMatmul: the logical tile grid
+/// Multi-chip placement plan for ONE AnalogMatmul: the logical tile grid
 /// stays a single unit (weights, streams and statistics are untouched),
-/// but its (token, row-block, tile) work items are partitioned over
-/// `n_chips` contiguous ranges of `axis`, each executed on that chip's
-/// own ThreadPool domain. Because the sharded path always runs at
+/// and its (token, row-block, tile) work items are assigned to `n_chips`
+/// contiguous ranges of `axis`. Chips are a placement and sim-time
+/// concept: the timing co-sim charges the plan's split, while the host
+/// runs every item on the global pool at TileConfig::n_threads, exactly
+/// like an unsharded layer. Because the sharded path always runs at
 /// per-tile work-item granularity with a canonical-order reduction, the
-/// output bits are invariant under axis, chip count AND per-chip thread
-/// count — the plan only decides WHERE each item runs.
+/// output bits are invariant under axis, chip count AND thread count.
 struct ShardPlan {
   ShardAxis axis = ShardAxis::kRowBlocks;
   int n_chips = 1;
-  /// One pool per chip (the chip's compute domain); a nullptr entry runs
-  /// that chip's items on the dispatching thread.
-  std::vector<util::ThreadPool*> pools;
 };
 
 /// Per-row noise-stream coordinates: the only way rows are keyed. The
@@ -142,16 +136,16 @@ class AnalogMatmul {
   void set_read_time(float t_seconds);
 
   // --- multi-chip sharding ---
-  /// Install a multi-chip execution plan (see ShardPlan). Validates that
-  /// pools has exactly plan.n_chips entries and n_chips >= 1; throws
-  /// std::invalid_argument otherwise. Must not be called while a forward
-  /// is in flight. The sharded path differs from the unsharded one in
-  /// two DOCUMENTED, deterministic ways: (a) partial sums reduce over
-  /// row blocks through a canonical stride-doubling tree instead of the
-  /// legacy linear fold, and (b) bound management retries per TILE
-  /// rather than per row block (each chip re-runs only its own arrays,
-  /// so alpha_count counts per-tile attempts). Neither depends on the
-  /// plan: any (axis, n_chips, threads) choice yields identical bits.
+  /// Install a multi-chip placement plan (see ShardPlan). Throws
+  /// std::invalid_argument when plan.n_chips < 1. Must not be called
+  /// while a forward is in flight. The sharded path differs from the
+  /// unsharded one in two DOCUMENTED, deterministic ways: (a) partial
+  /// sums reduce over row blocks through a canonical stride-doubling
+  /// tree instead of the legacy linear fold, and (b) bound management
+  /// retries per TILE rather than per row block (each chip re-runs only
+  /// its own arrays, so alpha_count counts per-tile attempts). Neither
+  /// depends on the plan: any (axis, n_chips, threads) choice yields
+  /// identical bits.
   void set_shard_plan(ShardPlan plan);
   /// Return to the unsharded execution path.
   void clear_shard_plan();
@@ -209,17 +203,6 @@ class AnalogMatmul {
     std::vector<std::int64_t> col0;             // output-dim offsets
   };
 
-  /// Everything one (token, row-block) work item produces besides its
-  /// output slice: DAC/alpha/bound-management stats plus the per-tile
-  /// runtime counters. Held privately per work item and folded into the
-  /// shared state serially, in canonical (token, row-block) order, so
-  /// the accumulated statistics are race-free AND bit-identical for any
-  /// thread count.
-  struct BlockWork {
-    ArrayStats stats;
-    std::vector<TileRunCounters> tiles;  // one per column-block tile
-  };
-
   /// Run one (token, row-block, tile-range) work item: input rescale ->
   /// DAC -> non-idealities -> tile MVMs over tiles [ti0, ti1), with the
   /// bound-management retry loop inside. All randomness comes from
@@ -229,17 +212,19 @@ class AnalogMatmul {
   /// (width n_); the item touches only its owned tiles' column spans.
   /// `commit_dac` dedups the per-block DAC traffic counters when a block
   /// is split into several items (exactly one of them — tiles [0, x) —
-  /// commits).
+  /// commits). `stats` and `tiles` (tiles[ti - ti0] for tile ti) are the
+  /// item's private result slots, overwritten in full.
   /// Thread-safe for concurrent calls with distinct (key, b, tile-range).
   void run_work_item(std::size_t b, std::size_t ti0, std::size_t ti1,
                      bool commit_dac, StreamKey key,
                      std::span<const float> xrow, float avg_alpha_b,
-                     std::span<float> y, BlockWork& work) const;
+                     std::span<float> y, ArrayStats& stats,
+                     std::span<TileRunCounters> tiles) const;
 
   /// Sharded execution of one token chunk [tc0, tc1): per-tile work
-  /// items fan out over the plan's chip pools, then partial sums reduce
-  /// through the canonical tree and statistics fold in (t, b, tile)
-  /// order. Bit-identical for any plan.
+  /// items fan out over the global pool at cfg.n_threads, then partial
+  /// sums reduce through the canonical tree and statistics fold in
+  /// (t, b, tile) order. Bit-identical for any plan and thread count.
   void run_chunk_sharded(const Matrix& x, std::span<const StreamKey> keys,
                          std::int64_t tc0, std::int64_t tc1,
                          std::int64_t n_groups, Matrix& y);
@@ -266,19 +251,25 @@ class AnalogMatmul {
   ArrayStats stats_;
   std::vector<WearRecord> wear_;  // permanent post-deployment faults
   // forward scratch, reused across calls (assign()/resize() keep
-  // capacity) so steady-state decode steps allocate nothing here.
+  // capacity) so steady-state steps allocate nothing here, whatever mix
+  // of row counts they alternate between.
   // forward() was never safe to call concurrently on one AnalogMatmul
   // (call_index_, stats_); these add no new restriction.
   std::vector<StreamKey> call_keys_;  // the unkeyed forward's (n, t) keys
   std::vector<std::int64_t> group_of_;
   std::vector<float> avg_alpha_;
   std::vector<float> partial_;
-  std::vector<BlockWork> works_;
-  // multi-chip execution plan (see set_shard_plan) + per-chip item lists
-  // (scratch, same reuse story as the buffers above)
+  // Per-work-item results besides the output slice: DAC/alpha/bound-
+  // management stats, and one runtime counter per tile the item ran.
+  // Private per item and folded into the shared state serially, in
+  // canonical order, so the statistics are race-free AND bit-identical
+  // for any thread count. Flat arrays with no per-item heap storage;
+  // resize() keeps capacity, so a smaller call frees nothing.
+  std::vector<ArrayStats> item_stats_;
+  std::vector<TileRunCounters> item_tiles_;
+  // multi-chip placement plan (see set_shard_plan)
   ShardPlan shard_;
   bool sharded_ = false;
-  std::vector<std::vector<std::int64_t>> chip_items_;
 };
 
 }  // namespace nora::cim

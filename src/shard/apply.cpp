@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "nn/block.hpp"
 
@@ -10,21 +9,16 @@ namespace nora::shard {
 
 namespace {
 
-void bind_linear(nn::Linear& lin, const StagePlan& st, ChipSet& chips,
-                 cim::ShardAxis axis) {
+void bind_linear(nn::Linear& lin, const StagePlan& st, cim::ShardAxis axis) {
   lin.set_timing_chip(st.chip0);
   if (cim::AnalogMatmul* analog = lin.analog()) {
-    cim::ShardPlan plan;
-    plan.axis = axis;
-    plan.n_chips = st.tp_chips;
-    plan.pools = chips.pool_range(st.chip0, st.tp_chips);
-    analog->set_shard_plan(std::move(plan));
+    analog->set_shard_plan({axis, st.tp_chips});
   }
 }
 
 }  // namespace
 
-void apply_plan(nn::TransformerLM& model, ChipSet& chips,
+void apply_plan(nn::TransformerLM& model, const ChipSet& chips,
                 const PipelinePlan& plan) {
   const int n_blocks = static_cast<int>(model.blocks().size());
   plan.validate(n_blocks);
@@ -40,17 +34,16 @@ void apply_plan(nn::TransformerLM& model, ChipSet& chips,
     nn::TransformerBlock& blk = model.blocks()[static_cast<std::size_t>(b)];
     nn::CausalSelfAttention& attn = blk.attention();
     attn.set_timing_chip(st.chip0);
-    bind_linear(attn.qkv(), st, chips, cim::ShardAxis::kColBlocks);
-    bind_linear(attn.out_proj(), st, chips, cim::ShardAxis::kRowBlocks);
+    bind_linear(attn.qkv(), st, cim::ShardAxis::kColBlocks);
+    bind_linear(attn.out_proj(), st, cim::ShardAxis::kRowBlocks);
     nn::Mlp& mlp = blk.mlp();
-    bind_linear(mlp.up(), st, chips, cim::ShardAxis::kColBlocks);
+    bind_linear(mlp.up(), st, cim::ShardAxis::kColBlocks);
     if (nn::Linear* gate = mlp.gate()) {
-      bind_linear(*gate, st, chips, cim::ShardAxis::kColBlocks);
+      bind_linear(*gate, st, cim::ShardAxis::kColBlocks);
     }
-    bind_linear(mlp.down(), st, chips, cim::ShardAxis::kRowBlocks);
+    bind_linear(mlp.down(), st, cim::ShardAxis::kRowBlocks);
   }
-  bind_linear(model.lm_head(), plan.last_stage(), chips,
-              cim::ShardAxis::kColBlocks);
+  bind_linear(model.lm_head(), plan.last_stage(), cim::ShardAxis::kColBlocks);
 }
 
 void clear_plan(nn::TransformerLM& model) {

@@ -1,6 +1,8 @@
-// Bind a PipelinePlan to a model: install the executed cim::ShardPlans
-// (which chip pools run each analog layer's tiles, split along the
-// layer's role axis) and the timing-chip stamps the co-simulator reads.
+// Bind a PipelinePlan to a model: install the cim::ShardPlans (which
+// chips each analog layer's tiles are placed on, split along the layer's
+// role axis) and the timing-chip stamps the co-simulator reads. Host
+// execution does not follow the placement: every analog layer runs on
+// the global pool at its TileConfig::n_threads.
 //
 // Role axes follow the Megatron convention adapted to tile grids:
 //   column split (disjoint output columns, no cross-chip reduction):
@@ -17,11 +19,9 @@
 
 namespace nora::shard {
 
-/// Install `plan` on the model, drawing per-stage pools from `chips`.
-/// Validates the plan against the model/chip shapes (throws
-/// std::invalid_argument). `chips` must outlive the installed plan
-/// (until clear_plan or the next apply_plan).
-void apply_plan(nn::TransformerLM& model, ChipSet& chips,
+/// Install `plan` on the model. Validates the plan against the model
+/// and `chips` shapes (throws std::invalid_argument).
+void apply_plan(nn::TransformerLM& model, const ChipSet& chips,
                 const PipelinePlan& plan);
 
 /// Remove all shard plans and chip stamps: back to single-chip

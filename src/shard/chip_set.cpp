@@ -5,30 +5,11 @@
 
 namespace nora::shard {
 
-ChipSet::ChipSet(int n_chips, int threads_per_chip) {
+ChipSet::ChipSet(int n_chips, int /*threads_per_chip*/) : n_chips_(n_chips) {
   if (n_chips < 1) {
     throw std::invalid_argument("ChipSet: n_chips must be >= 1, got " +
                                 std::to_string(n_chips));
   }
-  pools_.reserve(static_cast<std::size_t>(n_chips));
-  for (int c = 0; c < n_chips; ++c) {
-    pools_.push_back(std::make_unique<util::ThreadPool>(threads_per_chip));
-  }
-}
-
-std::vector<util::ThreadPool*> ChipSet::pool_range(int chip0, int count) {
-  if (chip0 < 0 || count < 1 || chip0 + count > n_chips()) {
-    throw std::out_of_range("ChipSet: pool range [" + std::to_string(chip0) +
-                            ", " + std::to_string(chip0 + count) +
-                            ") outside " + std::to_string(n_chips()) +
-                            " chips");
-  }
-  std::vector<util::ThreadPool*> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int c = chip0; c < chip0 + count; ++c) {
-    out.push_back(pools_[static_cast<std::size_t>(c)].get());
-  }
-  return out;
 }
 
 }  // namespace nora::shard

@@ -1,37 +1,24 @@
-// A set of N simulated analog "chips", each owning its own ThreadPool
-// compute domain. The chips model the host-side execution domains of a
-// multi-chip accelerator: sharded AnalogMatmuls fan their work items out
-// to chip pools (see cim::ShardPlan) while the timing co-simulator
-// charges the inter-chip link for the data that would move between them.
-//
-// Pools clamp their width deterministically (util::ThreadPool::
-// clamp_width), so a ChipSet never oversubscribes the host no matter
-// what chips x threads_per_chip the caller asks for.
+// A set of N simulated analog "chips". Chips are a placement and
+// sim-time concept: a cim::ShardPlan assigns each sharded layer's tiles
+// to a contiguous chip range, and the timing co-simulator charges the
+// inter-chip link for the data that would move between them. The host
+// runs every analog layer on the global ThreadPool at the layer's
+// TileConfig::n_threads, whatever its placement.
 #pragma once
-
-#include <memory>
-#include <vector>
-
-#include "util/thread_pool.hpp"
 
 namespace nora::shard {
 
 class ChipSet {
  public:
-  /// n_chips >= 1 simulated chips, each with a threads_per_chip-wide
-  /// pool (clamped; <= 0 degrades to sequential chips). Throws
+  /// n_chips >= 1 simulated chips. threads_per_chip is accepted for
+  /// source compatibility and ignored: a chip spawns no threads. Throws
   /// std::invalid_argument when n_chips < 1.
   explicit ChipSet(int n_chips, int threads_per_chip = 1);
 
-  int n_chips() const { return static_cast<int>(pools_.size()); }
-  util::ThreadPool& pool(int chip) { return *pools_[static_cast<std::size_t>(chip)]; }
-
-  /// Pool pointers for chips [chip0, chip0 + count) — the pools slot of
-  /// a cim::ShardPlan. Throws std::out_of_range on a bad range.
-  std::vector<util::ThreadPool*> pool_range(int chip0, int count);
+  int n_chips() const { return n_chips_; }
 
  private:
-  std::vector<std::unique_ptr<util::ThreadPool>> pools_;
+  int n_chips_ = 1;
 };
 
 }  // namespace nora::shard

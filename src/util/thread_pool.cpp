@@ -14,11 +14,11 @@ ThreadPool& ThreadPool::global() {
 }
 
 int ThreadPool::clamp_width(int threads) {
-  // Deterministic clamp instead of throwing: per-chip pool domains size
-  // themselves from config knobs (chips x threads_per_chip) that may ask
-  // for 0 or for more than the host offers. 0 / negative degrade to the
+  // Deterministic clamp instead of throwing: pools size themselves from
+  // config knobs (TileConfig::n_threads, bench flags) that may ask for 0
+  // or for more than the host offers. 0 / negative degrade to the
   // sequential width; requests beyond hardware_concurrency() clamp to it
-  // so N chip pools never oversubscribe the host N-fold. When the host
+  // so a pool never oversubscribes the host. When the host
   // cannot report its width (hardware_concurrency() == 0) the requested
   // width is honored as-is — there is nothing to clamp against.
   if (threads < 1) return 1;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cim/analog_matmul.hpp"
-#include "shard/chip_set.hpp"
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -131,11 +130,9 @@ TEST_P(GoldenStreams, UnkeyedForwardIsKeyedByCallIndexAndRow) {
       cfg.scaling = scaling;
       cim::AnalogMatmul unkeyed(w, {}, cfg, 31337);
       cim::AnalogMatmul keyed(w, {}, cfg, 31337);
-      shard::ChipSet chips(2, threads);
       if (sharded) {
         cim::ShardPlan plan;
         plan.n_chips = 2;
-        plan.pools = chips.pool_range(0, 2);
         unkeyed.set_shard_plan(plan);
         keyed.set_shard_plan(plan);
       }

@@ -125,10 +125,9 @@ TEST(ThreadPool, WidthClampsDeterministically) {
 }
 
 TEST(ThreadPool, CrossPoolNestingDoesNotDeadlock) {
-  // A chip pool draining work inside a job running on another pool is
-  // exactly the sharded-execution shape: the outer pool's worker blocks
-  // in the inner parallel_for but assists the inner job, so no thread
-  // ever waits on a queue it alone could serve.
+  // A pool draining work inside a job running on another pool: the
+  // outer pool's worker blocks in the inner parallel_for but assists the
+  // inner job, so no thread ever waits on a queue it alone could serve.
   ThreadPool outer(2);
   ThreadPool chip_a(2);
   ThreadPool chip_b(2);
