@@ -10,9 +10,8 @@
 // design tension the paper's 7-bit choice reflects).
 //
 // Besides the tables/CSVs, --out writes one machine-readable JSON report
-// (same pattern as bench/serve_load) so CI and EXPERIMENTS.md can diff
-// energy/latency numbers across PRs. Every DeviceCosts constant is a
-// --flag (see cost/device_costs_cli.hpp).
+// so CI and EXPERIMENTS.md can diff energy/latency numbers across PRs.
+// Every DeviceCosts constant is a --flag (see cost/device_costs_cli.hpp).
 //
 //   ./cost_model [--tokens=32] [--out=results/cost_model.json]
 //                [--tile-read-ns=100] [--adc-fom-fj=30] ...

@@ -4,7 +4,7 @@
 // interface, so the SAME code path is driven two ways:
 //
 //   * TcpTransport — a real nonblocking socket accepted by TcpListener,
-//     used by nora_serve and bench/serve_load;
+//     used by nora_serve and tests/test_net_load;
 //   * SimTransport — one end of a deterministic in-memory byte pipe with
 //     bounded capacity, used by the chaos harness and unit tests. Every
 //     read/write moves exactly the bytes the caller asked for (subject

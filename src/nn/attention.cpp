@@ -171,9 +171,12 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
   // (sequence x head) fan-out: each item writes the head's column slice
   // of its sequence's row range — disjoint — with the same digital math
   // and accumulation order as forward() over the whole sequence, so any
-  // thread count and any batch composition produce identical rows. The
-  // probs scratch is thread-local: concurrent items never share mutable
-  // state, and long-lived pool workers reuse it allocation-free.
+  // thread count and any batch composition produce identical rows. Each
+  // item owns its own max_seq-long probs row, so the scratch grows only
+  // with the item count, never with the history length.
+  const std::size_t probs_len =
+      static_cast<std::size_t>(n_seqs * n_heads_ * max_seq_);
+  if (serve_probs_.size() < probs_len) serve_probs_.resize(probs_len);
   util::ThreadPool::global().parallel_for(
       n_seqs * n_heads_, [&](std::int64_t item) {
         const std::int64_t s = item / n_heads_;
@@ -190,12 +193,11 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
         const Matrix& bk = seq.base != nullptr ? seq.base->k : ks;
         const Matrix& bv = seq.base != nullptr ? seq.base->v : vs;
         const std::int64_t off = h * d_head_;
-        thread_local std::vector<float> probs;
+        float* const probs = serve_probs_.data() + item * max_seq_;
         const auto bias = rel_bias_.value.row(h);
         for (std::int64_t i = 0; i < seq.rows; ++i) {
           const std::int64_t gi = seq.pos0 + i;  // global position
           const auto qi = qkv.row(r0[static_cast<std::size_t>(s)] + i);
-          probs.assign(static_cast<std::size_t>(gi) + 1, 0.0f);
           float row_max = -1e30f;
           for (std::int64_t j = 0; j <= gi; ++j) {
             const auto kj = j < br ? bk.row(j) : ks.row(j - br);
@@ -204,18 +206,18 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
               sc += qi[off + c] * kj[off + c];
             }
             sc = sc * scale + bias[gi - j];
-            probs[static_cast<std::size_t>(j)] = sc;
+            probs[j] = sc;
             row_max = std::max(row_max, sc);
           }
           float denom = 0.0f;
-          for (auto& p : probs) {
-            p = std::exp(p - row_max);
-            denom += p;
+          for (std::int64_t j = 0; j <= gi; ++j) {
+            probs[j] = std::exp(probs[j] - row_max);
+            denom += probs[j];
           }
           const float inv = 1.0f / denom;
           auto oi = concat.row(r0[static_cast<std::size_t>(s)] + i);
           for (std::int64_t j = 0; j <= gi; ++j) {
-            const float p = probs[static_cast<std::size_t>(j)] * inv;
+            const float p = probs[j] * inv;
             const auto vj = j < br ? bv.row(j) : vs.row(j - br);
             for (std::int64_t c = 0; c < d_head_; ++c) {
               oi[off + c] += p * vj[off + c];

@@ -95,10 +95,13 @@ class CausalSelfAttention {
   // Backward caches (one sequence at a time).
   Matrix qkv_cache_;                 // [T x 3d]
   std::vector<Matrix> probs_cache_;  // per head: [T x T] softmax rows
-  // forward_serve step scratch (segment row offsets), reused across
-  // steps; read by pool workers, so it lives here rather than
-  // thread-local storage.
+  // forward_serve step scratch, reused across steps: segment row
+  // offsets, and one max_seq-long softmax row per (sequence, head) item.
+  // Pool workers read and write it, so it lives here rather than in
+  // thread-local storage, whose growth would depend on which thread ran
+  // which item.
   std::vector<std::int64_t> serve_r0_;
+  std::vector<float> serve_probs_;
 };
 
 }  // namespace nora::nn

@@ -435,6 +435,10 @@ bool Scheduler::admit_locked() {
                          static_cast<std::ptrdiff_t>(a.base_len),
                      a.origin.prompt.end());
     a.remaining = a.origin.max_new_tokens;
+    // Room for every token this run can emit (max_seq bounds it), so
+    // harvesting never regrows the record mid-decode.
+    rec.tokens.reserve(static_cast<std::size_t>(std::min<std::int64_t>(
+        a.remaining, model_.config().max_seq)));
     a.deadline_step = a.origin.deadline_steps > 0
                           ? rec.submit_step + a.origin.deadline_steps
                           : -1;

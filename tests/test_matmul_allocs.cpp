@@ -1,9 +1,14 @@
-// Allocation stability of AnalogMatmul::forward across changing row
-// counts. A serving step alternates prefill-sized and decode-sized calls
-// on every layer; the forward's work slots must survive the small call
-// so the next large one reuses them. The check is exact: after one
-// warm-up of each shape, a forward must allocate exactly as many times
-// as a repeat of the same shape, whatever shape ran before it.
+// Allocation stability of the serving hot path.
+//
+// AnalogMatmul::forward across changing row counts: a serving step
+// alternates prefill-sized and decode-sized calls on every layer; the
+// forward's work slots must survive the small call so the next large one
+// reuses them. The check is exact: after one warm-up of each shape, a
+// forward must allocate exactly as many times as a repeat of the same
+// shape, whatever shape ran before it.
+//
+// Scheduler::step in steady decode: every step allocates the same count
+// (O(1) in step index and sequence length), pinned under a ceiling.
 //
 // Own executable: the counting operator new below replaces the global
 // allocator for this test binary only.
@@ -17,6 +22,8 @@
 #include <thread>
 
 #include "cim/analog_matmul.hpp"
+#include "nn/transformer.hpp"
+#include "serve/scheduler.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -131,6 +138,65 @@ TEST(MatmulAllocs, ShapeChangesAllocateLikeRepeatsSequential) {
 
 TEST(MatmulAllocs, ShapeChangesAllocateLikeRepeatsFourThreads) {
   check_shape_changes(4);
+}
+
+/// Steady-state decode at 4 pool threads: a 4-layer d64 analog model on
+/// 64x48 tiles, 4 requests with 8-token prompts decoding together under
+/// max_batch 8. Past admission, prefill and the scratch high-water
+/// marks, what a step still allocates (fresh activation matrices, pool
+/// job plumbing) must be the same in every window, and no more than the
+/// count measured when the ceiling was set: one extra allocation per
+/// step fails. Lower it when a change removes allocations.
+TEST(MatmulAllocs, DecodeStepAllocationsArePinned) {
+  constexpr int kThreads = 4;
+  constexpr int kWarmSteps = 6;
+  constexpr int kWindowSteps = 16;
+  constexpr std::int64_t kMaxAllocsPerStep = 93;
+  util::ThreadPool::global().resize(kThreads);
+  nn::TransformerConfig arch;
+  arch.vocab_size = 64;
+  arch.d_model = 64;
+  arch.n_layers = 4;
+  arch.n_heads = 4;
+  arch.d_ff = 128;
+  arch.max_seq = 256;
+  arch.seed = 77;
+  nn::TransformerLM model(arch);
+  cim::TileConfig tile = cim::TileConfig::paper_table2();
+  tile.tile_rows = 64;
+  tile.tile_cols = 48;
+  tile.n_threads = kThreads;
+  std::uint64_t seed = 900;
+  for (auto* lin : model.linear_layers()) lin->to_analog(tile, {}, seed++);
+  // The widest layer shape (2 row blocks of 4 tiles) covers every
+  // layer's workspace high-water mark.
+  warm_pool_workspaces(random_matrix(arch.d_ff, 3 * arch.d_model, 14), tile);
+
+  serve::SchedulerConfig scfg;
+  scfg.max_batch = 8;
+  serve::Scheduler sched(model, scfg);
+  for (int i = 0; i < 4; ++i) {
+    serve::RequestParams p;
+    p.prompt = {1, 2, 3, 4, 5, 6, 7, 8};
+    // Long enough that no request retires inside a measured window.
+    p.max_new_tokens = kWarmSteps + 2 * kWindowSteps + 8;
+    p.stream_seed = 500 + static_cast<std::uint64_t>(i);
+    sched.submit(std::move(p));
+  }
+  for (int s = 0; s < kWarmSteps; ++s) sched.step();
+  const auto window_allocs = [&] {
+    const std::int64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    for (int s = 0; s < kWindowSteps; ++s) sched.step();
+    return g_allocs.load(std::memory_order_relaxed) - a0;
+  };
+  const std::int64_t first = window_allocs();
+  const std::int64_t second = window_allocs();
+  EXPECT_EQ(sched.in_flight(), 4u);
+  EXPECT_EQ(first, second);
+  EXPECT_LE(first, kMaxAllocsPerStep * kWindowSteps)
+      << static_cast<double>(first) / kWindowSteps << " allocs per step";
+  sched.run_until_idle();
+  util::ThreadPool::global().resize(1);
 }
 
 }  // namespace
