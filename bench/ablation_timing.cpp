@@ -1,13 +1,14 @@
-// Timing co-simulation ablation: event-driven hardware latency replayed
+// Timing co-simulation ablation: simulated hardware latency replayed
 // over the serving stack, sweeping analog pipeline depth and the
 // scheduler's batching policy.
 //
-// Phase 1 (reconciliation): per-layer event-driven latency of one
-// forward pass vs the analytic cost_model bound (tokens * tile read).
-// The event simulator charges the SAME tile-read constant split into
-// DAC/crossbar/ADC stages, so a single unpipelined tile degenerates to
-// the analytic number exactly (printed, and asserted in
-// test_cost_sim_consistency); multi-tile grids show the extra serial
+// Phase 1 (reconciliation): per-layer latency of one forward pass from
+// HwModel's exact in-order recurrence (tokens through FIFO DAC,
+// crossbar, ADC and link stages) vs the analytic cost_model bound
+// (tokens * tile read). The recurrence charges the SAME tile-read
+// constant split into DAC/crossbar/ADC stages, so a single unpipelined
+// tile degenerates to the analytic number exactly (printed, and asserted
+// in test_cost_sim_consistency); multi-tile grids show the extra serial
 // cost of shared ADC column groups and inter-tile partial-sum links the
 // analytic model hides.
 //
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
               n_requests, n_tokens, sim_cfg.costs.tile_read_latency_ns,
               smoke ? " (smoke)" : "");
 
-  // --- phase 1: event-driven vs analytic reconciliation --------------
+  // --- phase 1: in-order recurrence vs analytic reconciliation -------
   const timing::HwModel hw(sim_cfg);
   {
     timing::TimingOp one;
@@ -184,15 +185,15 @@ int main(int argc, char** argv) {
     one.n = 12;
     one.row_blocks = 1;
     one.col_blocks = 1;
-    const std::int64_t event_ps = hw.analog_op_ps(one);
+    const std::int64_t recurrence_ps = hw.analog_op_ps(one);
     const std::int64_t analytic_ps = one.rows * hw.tile_ps();
     std::printf("degenerate single unpipelined tile, %lld tokens: "
-                "event-driven %lld ps vs analytic %lld ps — %s\n\n",
+                "in-order recurrence %lld ps vs analytic %lld ps — %s\n\n",
                 static_cast<long long>(one.rows),
-                static_cast<long long>(event_ps),
+                static_cast<long long>(recurrence_ps),
                 static_cast<long long>(analytic_ps),
-                event_ps == analytic_ps ? "EXACT" : "MISMATCH");
-    if (event_ps != analytic_ps) return 1;
+                recurrence_ps == analytic_ps ? "EXACT" : "MISMATCH");
+    if (recurrence_ps != analytic_ps) return 1;
   }
   // Per-layer contrast on a real forward: one 16-token prefill.
   const std::vector<std::int64_t> immediate(1, 0);

@@ -160,7 +160,7 @@ AnalogTile::AnalogTile(const Matrix& w_slice, const TileConfig& cfg,
     util::Rng drift_rng = rng.split("drift");
     drift_nu_t_ = drift_.sample_exponents(cols_, rows_, drift_rng);
   }
-  w_hat_t_effective_ = w_hat_t_;
+  w_eff_ = w_hat_t_.transposed();
   if (cfg_.abft_checksum) {
     // The checksum column is programmed after repair/verify completes, so
     // the as-programmed signature absorbs programming noise, stuck-at
@@ -207,25 +207,31 @@ void AnalogTile::reset_stats() {
 
 void AnalogTile::set_read_time(float t_seconds) {
   read_time_s_ = t_seconds;
-  w_hat_t_effective_ = w_hat_t_;
+  // The read-time state is derived in the programmed (transposed) layout
+  // and order, then transposed once into the row-major layout mvm reads.
+  Matrix drifted;
+  const Matrix* eff = &w_hat_t_;
   if (cfg_.drift_enabled && t_seconds > 0.0f) {
-    drift_.apply(w_hat_t_effective_, drift_nu_t_, t_seconds);
+    drifted = w_hat_t_;
+    drift_.apply(drifted, drift_nu_t_, t_seconds);
     // Stuck devices are pinned at their defect conductance; drift acts
     // only on working devices.
-    force_faults(w_hat_t_effective_);
-    force_wear(w_hat_t_effective_);
+    force_faults(drifted);
+    force_wear(drifted);
+    eff = &drifted;
   }
   // The re-read re-derives the effective state, clearing transient
   // upsets; the checksum signature follows the devices it sums.
-  if (cfg_.abft_checksum) abft_eff_ = abft_signature(w_hat_t_effective_);
+  if (cfg_.abft_checksum) abft_eff_ = abft_signature(*eff);
+  w_eff_ = eff->transposed();
 }
 
 void AnalogTile::upset_device(std::int64_t j, std::int64_t k, float value) {
   if (j < 0 || j >= cols_ || k < 0 || k >= rows_) {
     throw std::invalid_argument("AnalogTile::upset_device: out of range");
   }
-  const float old = w_hat_t_effective_.at(j, k);
-  w_hat_t_effective_.at(j, k) = value;
+  const float old = w_eff_.at(k, j);
+  w_eff_.at(k, j) = value;
   if (cfg_.abft_checksum) {
     abft_eff_[static_cast<std::size_t>(k)] +=
         double(gamma_[static_cast<std::size_t>(j)]) * (double(value) - old);
@@ -284,105 +290,97 @@ bool AnalogTile::mvm(std::span<const float> x_hat, float x_hat_l2, float alpha,
   }
   const double stddev_r = sigma_r * x_hat_l2;
   const double stddev_o = cfg_.out_noise;
-  bool any_saturated = false;
+  // Column sums first, all into scratch. The conductances are row-major,
+  // so the scalar loops read each column at stride `m`; the AVX2 kernels
+  // run the identical per-column op sequence (including the compiled FMA
+  // contractions) on sixteen adjacent columns per row, so every sum
+  // matches the scalar loops bit for bit. Kernel dispatch is resolved
+  // once per process.
+  const std::size_t n = static_cast<std::size_t>(rows_);
+  const std::size_t m = static_cast<std::size_t>(cols_);
+  if (scratch.acc.size() < m) scratch.acc.resize(m);
+  float* acc = scratch.acc.data();
+  const float* w = w_eff_.data();
+  const float* x = x_hat.data();
+  const bool use_avx2 = util::simd::use_avx2();
+  if (use_avx2) {
+    if (use_ir) {
+      util::simd::ir_fused_avx2(w, m, m, x, n, ir_drop_.kappa(), acc);
+    } else {
+      util::simd::mvm_dot_avx2(w, m, m, x, n, acc);
+    }
+  } else {
+    // Columns are mutually independent, and one column's accumulation is
+    // a serial double-add chain; running four side by side pipelines the
+    // chains through the FP units without changing any column's operation
+    // sequence — every sum matches the one-column-at-a-time loop.
+    std::size_t j = 0;
+    if (use_ir) {
+      for (; j + 4 <= m; j += 4) {
+        ir_drop_.accumulate_columns_fused4(w + j, m, x, n, acc + j);
+      }
+      for (; j < m; ++j) {
+        acc[j] = ir_drop_.accumulate_column_fused(w + j, x, n, m);
+      }
+    } else {
+      for (; j + 4 <= m; j += 4) {
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t k = 0; k < n; ++k) {
+          const float* row = w + k * m + j;
+          const double xk = x[k];
+          s0 += double(row[0]) * xk;
+          s1 += double(row[1]) * xk;
+          s2 += double(row[2]) * xk;
+          s3 += double(row[3]) * xk;
+        }
+        acc[j] = static_cast<float>(s0);
+        acc[j + 1] = static_cast<float>(s1);
+        acc[j + 2] = static_cast<float>(s2);
+        acc[j + 3] = static_cast<float>(s3);
+      }
+      for (; j < m; ++j) {
+        double s = 0.0;
+        for (std::size_t k = 0; k < n; ++k) s += double(w[k * m + j]) * x[k];
+        acc[j] = static_cast<float>(s);
+      }
+    }
+  }
   // Per-column epilogue: short-term read noise (aggregated, statistically
   // exact) and the system additive output noise, both before the ADC,
   // then quantize and scale into y. The draws were prefilled in column
-  // order, so grouping columns below does not reorder them.
-  const auto finish_col = [&](std::int64_t j, float acc) {
-    if (sigma_r > 0.0f) {
-      acc += static_cast<float>(0.0 + stddev_r * (*g++));
-    }
-    if (cfg_.out_noise > 0.0f) {
-      acc += static_cast<float>(0.0 + stddev_o * (*g++));
-    }
-    ++counters.adc_reads;
-    if (adc_.saturates(acc)) {
-      ++counters.adc_saturations;
-      any_saturated = true;
-    }
-    acc = adc_.quantize(acc);
-    y[j] += alpha * gamma_[static_cast<std::size_t>(j)] * acc;
-  };
-  // Columns are mutually independent, and one column's accumulation is a
-  // serial double-add chain; running four side by side pipelines the
-  // chains through the FP units without changing any column's operation
-  // sequence — every output bit matches the one-column-at-a-time loop.
-  const float* wbase = w_hat_t_effective_.data();
-  const std::size_t n = static_cast<std::size_t>(rows_);
-  // Kernel dispatch, resolved once per process: the AVX2 kernels run the
-  // identical per-column op sequence (including the compiled FMA
-  // contractions) on eight columns at a time, so every output bit matches
-  // the scalar loops below; finish_col still runs in ascending j order,
-  // which keeps the prefilled noise-draw consumption order unchanged.
-  const bool use_avx2 = util::simd::use_avx2();
-  std::int64_t j = 0;
-  if (use_ir) {
-    if (use_avx2) {
-      const float kappa = ir_drop_.kappa();
-      for (; j + 8 <= cols_; j += 8) {
-        float acc8[8];
-        util::simd::ir_fused8_avx2(wbase + j * rows_, rows_, x_hat.data(), n,
-                                   kappa, acc8);
-        for (int t = 0; t < 8; ++t) finish_col(j + t, acc8[t]);
-      }
-    }
-    for (; j + 4 <= cols_; j += 4) {
-      float acc4[4];
-      ir_drop_.accumulate_columns_fused4(wbase + j * rows_,
-                                         wbase + (j + 1) * rows_,
-                                         wbase + (j + 2) * rows_,
-                                         wbase + (j + 3) * rows_,
-                                         x_hat.data(), n, acc4);
-      finish_col(j, acc4[0]);
-      finish_col(j + 1, acc4[1]);
-      finish_col(j + 2, acc4[2]);
-      finish_col(j + 3, acc4[3]);
-    }
+  // order, and both forms consume them in ascending j.
+  std::int64_t saturated = 0;
+  if (use_avx2) {
+    util::simd::ColumnEpilogue e;
+    e.noise = g;
+    e.draws = draws_per_col;
+    e.stddev[0] = sigma_r > 0.0f ? stddev_r : stddev_o;
+    e.stddev[1] = stddev_o;
+    e.adc_steps = adc_.steps();
+    e.adc_bound = adc_.bound();
+    e.alpha = alpha;
+    e.gamma = gamma_.data();
+    saturated = util::simd::finish_columns_avx2(acc, m, e, y.data());
   } else {
-    if (use_avx2) {
-      for (; j + 8 <= cols_; j += 8) {
-        float acc8[8];
-        util::simd::mvm_dot8_avx2(wbase + j * rows_, rows_, x_hat.data(), n,
-                                  acc8);
-        for (int t = 0; t < 8; ++t) finish_col(j + t, acc8[t]);
+    for (std::size_t j = 0; j < m; ++j) {
+      float a = acc[j];
+      if (sigma_r > 0.0f) {
+        a += static_cast<float>(0.0 + stddev_r * (*g++));
       }
-    }
-    for (; j + 4 <= cols_; j += 4) {
-      const float* w0 = wbase + j * rows_;
-      const float* w1 = wbase + (j + 1) * rows_;
-      const float* w2 = wbase + (j + 2) * rows_;
-      const float* w3 = wbase + (j + 3) * rows_;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        const double xk = x_hat[k];
-        s0 += double(w0[k]) * xk;
-        s1 += double(w1[k]) * xk;
-        s2 += double(w2[k]) * xk;
-        s3 += double(w3[k]) * xk;
+      if (cfg_.out_noise > 0.0f) {
+        a += static_cast<float>(0.0 + stddev_o * (*g++));
       }
-      finish_col(j, static_cast<float>(s0));
-      finish_col(j + 1, static_cast<float>(s1));
-      finish_col(j + 2, static_cast<float>(s2));
-      finish_col(j + 3, static_cast<float>(s3));
+      if (adc_.saturates(a)) ++saturated;
+      a = adc_.quantize(a);
+      y[j] += alpha * gamma_[j] * a;
     }
   }
-  for (; j < cols_; ++j) {
-    const float* wcol = wbase + j * rows_;
-    float acc;
-    if (use_ir) {
-      acc = ir_drop_.accumulate_column_fused(wcol, x_hat.data(), n);
-    } else {
-      double s = 0.0;
-      for (std::size_t k = 0; k < n; ++k) s += double(wcol[k]) * x_hat[k];
-      acc = static_cast<float>(s);
-    }
-    finish_col(j, acc);
-  }
+  counters.adc_reads += cols_;
+  counters.adc_saturations += saturated;
   if (cfg_.abft_checksum) {
     abft_check(x_hat, x_hat_l2, alpha, *abft_rng, counters.abft);
   }
-  return any_saturated;
+  return saturated > 0;
 }
 
 bool AnalogTile::mvm(std::span<const float> x_hat, float x_hat_l2, float alpha,

@@ -72,11 +72,14 @@ struct TileRunCounters {
 /// Caller-owned scratch for the thread-safe mvm form. One MVM drains up
 /// to two Gaussian draws per column (read noise + output noise); the
 /// tile prefills them into `noise` with a single batched
-/// Rng::gaussian_fill instead of 2*cols individual calls. The buffer
-/// grows to the high-water mark on first use and is reused verbatim
-/// afterwards, so a warmed-up scratch performs zero allocations per MVM.
+/// Rng::gaussian_fill instead of 2*cols individual calls, and writes
+/// every column sum into `acc` before the per-column read-out. The
+/// buffers grow to the high-water mark on first use and are reused
+/// verbatim afterwards, so a warmed-up scratch performs zero allocations
+/// per MVM.
 struct TileMvmScratch {
   std::vector<double> noise;  // prefilled standard normals, drained per column
+  std::vector<float> acc;     // column sums before noise and ADC [cols]
 };
 
 class AnalogTile {
@@ -173,7 +176,7 @@ class AnalogTile {
   std::int64_t cols_ = 0;
   std::vector<float> gamma_;   // per-column scale
   Matrix w_hat_t_;             // programmed conductances, TRANSPOSED [cols x rows]
-  Matrix w_hat_t_effective_;   // after drift at current read time
+  Matrix w_eff_;               // read by mvm at the current read time, [rows x cols]
   Matrix drift_nu_t_;          // per-device drift exponents [cols x rows]
   noise::UniformQuantizer adc_;
   noise::ShortTermReadNoise read_noise_;

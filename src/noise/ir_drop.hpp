@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <span>
 
 namespace nora::noise {
@@ -49,52 +50,55 @@ class IrDropModel {
     return static_cast<float>(acc);
   }
 
-  /// Fused variant: forms each per-row contribution w[k] * x[k] on the
-  /// fly instead of reading a pre-filled scratch column. The product is
-  /// the same single-precision multiply the scratch fill performed, and
-  /// the accumulation is the identical double-precision recurrence, so
-  /// the result is bit-for-bit equal to
-  ///   contrib[k] = w[k] * x[k]; accumulate_column(contrib)
-  /// without the store/reload through the scratch buffer.
-  float accumulate_column_fused(const float* w, const float* x,
-                                std::size_t n) const {
+  /// Fused variant: forms each per-row contribution w[k * stride] * x[k]
+  /// on the fly instead of reading a pre-filled scratch column. The
+  /// product is the same single-precision multiply the scratch fill
+  /// performed, and the accumulation is the identical double-precision
+  /// recurrence, so the result is bit-for-bit equal to
+  ///   contrib[k] = w[k * stride] * x[k]; accumulate_column(contrib)
+  /// without the store/reload through the scratch buffer. `stride` is 1
+  /// for a contiguous column and the row length for a column of a
+  /// row-major tile.
+  float accumulate_column_fused(const float* w, const float* x, std::size_t n,
+                                std::size_t stride = 1) const {
     if (!enabled()) {
       double acc = 0.0;
-      for (std::size_t k = 0; k < n; ++k) acc += w[k] * x[k];
+      for (std::size_t k = 0; k < n; ++k) acc += w[k * stride] * x[k];
       return static_cast<float>(acc);
     }
     const double inv_n = 1.0 / static_cast<double>(n);
     double cum_abs = 0.0;
     double acc = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
-      const float c = w[k] * x[k];
+      const float c = w[k * stride] * x[k];
       cum_abs += std::fabs(c);
       acc += static_cast<double>(c) * (1.0 - kappa_ * cum_abs * inv_n);
     }
     return static_cast<float>(acc);
   }
 
-  /// Four-column fused variant: runs accumulate_column_fused's exact
-  /// recurrence on four independent columns simultaneously. Each
-  /// column's operation sequence is unchanged — the columns merely
-  /// interleave in time — so every out[i] is bit-for-bit equal to the
-  /// single-column call. The point is instruction-level parallelism:
-  /// one column is a serial double-add chain (~4-cycle latency per
-  /// row), but four independent chains pipeline through the FP adders
-  /// and roughly quadruple the hot loop's throughput.
-  void accumulate_columns_fused4(const float* w0, const float* w1,
-                                 const float* w2, const float* w3,
+  /// Four-column fused variant over four adjacent columns of a row-major
+  /// tile (w[k * ld + i] is column i's row k): runs
+  /// accumulate_column_fused's exact recurrence on the four columns
+  /// simultaneously. Each column's operation sequence is unchanged — the
+  /// columns merely interleave in time — so every out[i] is bit-for-bit
+  /// equal to the single-column call. The point is instruction-level
+  /// parallelism: one column is a serial double-add chain (~4-cycle
+  /// latency per row), but four independent chains pipeline through the
+  /// FP adders and roughly quadruple the hot loop's throughput.
+  void accumulate_columns_fused4(const float* w, std::size_t ld,
                                  const float* x, std::size_t n,
                                  float out[4]) const {
     const double inv_n = 1.0 / static_cast<double>(n);
     double ca0 = 0.0, ca1 = 0.0, ca2 = 0.0, ca3 = 0.0;
     double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
+      const float* row = w + k * ld;
       const float xk = x[k];
-      const float c0 = w0[k] * xk;
-      const float c1 = w1[k] * xk;
-      const float c2 = w2[k] * xk;
-      const float c3 = w3[k] * xk;
+      const float c0 = row[0] * xk;
+      const float c1 = row[1] * xk;
+      const float c2 = row[2] * xk;
+      const float c3 = row[3] * xk;
       ca0 += std::fabs(c0);
       a0 += static_cast<double>(c0) * (1.0 - kappa_ * ca0 * inv_n);
       ca1 += std::fabs(c1);

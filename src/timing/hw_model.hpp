@@ -5,7 +5,7 @@
 //
 // An analog op is an in-order recurrence over tokens through one FIFO
 // Resource per stage class (DAC, crossbar, ADC, link), exact against the
-// per-block EventClock simulation test_timing keeps as its oracle.
+// per-block discrete-event simulation test_timing keeps as its oracle.
 //
 // Reconciliation with cost::cost_model: the stage durations are a split of
 // the same DeviceCosts::tile_read_latency_ns constant the analytic model

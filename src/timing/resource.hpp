@@ -2,9 +2,9 @@
 // banks, tile MVM pipelines, shared ADC column groups and inter-tile
 // transfer links are all instances of the same contention model: a
 // request that arrives while the server is busy waits until the previous
-// grant drains. Requests made in time order (EventClock dispatch, or
-// HwModel's in-order recurrence) make the queueing discipline FIFO and
-// fully deterministic.
+// grant drains. Requests made in time order (HwModel's in-order
+// recurrence, or the event-driven reference simulator in test_timing)
+// make the queueing discipline FIFO and fully deterministic.
 #pragma once
 
 #include <algorithm>

@@ -1,13 +1,14 @@
 // Runtime-dispatched SIMD kernel selection.
 //
 // The analog hot loops (MVM accumulate, IR-drop fused accumulate, the
-// DAC/quantizer pipeline, Gaussian scale/convert) each exist in two
-// variants: the scalar reference (the code the golden-stream tests were
-// captured against) and an AVX2+FMA implementation that is bit-identical
-// by construction — every vector op is the IEEE-754 elementwise image of
-// the scalar op sequence, including the FMA contractions GCC bakes into
-// the scalar build (vfmadd/vfnmadd placement read off the disassembly
-// and pinned by tests/test_simd_kernels.cpp).
+// per-column noise/ADC read-out, the DAC/quantizer pipeline, Gaussian
+// scale/convert) each exist in two variants: the scalar reference (the
+// code the golden-stream tests were captured against) and an AVX2+FMA
+// implementation that is bit-identical by construction — every vector
+// op is the IEEE-754 elementwise image of the scalar op sequence,
+// including the FMA contractions GCC bakes into the scalar build
+// (vfmadd/vfnmadd placement read off the disassembly and pinned by
+// tests/test_simd_kernels.cpp).
 //
 // The ISA is resolved exactly once, on first use:
 //   - NORA_FORCE_SCALAR=1 (env) forces the scalar variants — this is the

@@ -14,104 +14,193 @@ namespace nora::util::simd {
 
 namespace {
 
-// Gather one 4-wide lane group for rows [k, k+4) of four columns:
-// r[t] = { w0[k+t], w1[k+t], w2[k+t], w3[k+t] }.
-inline void load_transpose4(const float* w0, const float* w1, const float* w2,
-                            const float* w3, std::size_t k, __m128 r[4]) {
-  __m128 a0 = _mm_loadu_ps(w0 + k);
-  __m128 a1 = _mm_loadu_ps(w1 + k);
-  __m128 a2 = _mm_loadu_ps(w2 + k);
-  __m128 a3 = _mm_loadu_ps(w3 + k);
-  _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
-  r[0] = a0;
-  r[1] = a1;
-  r[2] = a2;
-  r[3] = a3;
+// Lane mask selecting the first r (1..4) of four floats.
+inline __m128i first_lanes(std::size_t r) {
+  alignas(16) static const std::int32_t kMask[8] = {-1, -1, -1, -1,
+                                                    0,  0,  0,  0};
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(kMask + 4 - r));
 }
 
-inline __m128 gather_lane(const float* w0, const float* w1, const float* w2,
-                          const float* w3, std::size_t k) {
-  return _mm_set_ps(w3[k], w2[k], w1[k], w0[k]);
+// Chunk l (four floats) of a kL-chunk pass. In a masked pass the last
+// chunk touches only its `mask`-selected lanes (the others load as zero),
+// so a ragged tail never reads or writes past the tile's last column.
+template <int kL, bool kMasked>
+inline __m128 load_chunk(const float* row, int l, __m128i mask) {
+  if (kMasked && l + 1 == kL) return _mm_maskload_ps(row + 4 * l, mask);
+  return _mm_loadu_ps(row + 4 * l);
+}
+template <int kL, bool kMasked>
+inline void store_sums(float* out, const __m256d* s, __m128i mask) {
+  for (int l = 0; l < kL; ++l) {
+    const __m128 v = _mm256_cvtpd_ps(s[l]);
+    if (kMasked && l + 1 == kL) {
+      _mm_maskstore_ps(out + 4 * l, mask, v);
+    } else {
+      _mm_storeu_ps(out + 4 * l, v);
+    }
+  }
+}
+
+// Runs pass.template operator()<chunks, masked>(j, width) over columns
+// [0, m): full sixteen-column passes of four 4-lane chunks, then one
+// pass of ceil(rem / 4) chunks whose last chunk is masked to the
+// remaining lanes.
+template <class Pass>
+inline void column_passes(std::size_t m, Pass&& pass) {
+  std::size_t j = 0;
+  for (; j + 16 <= m; j += 16) pass.template operator()<4, false>(j, 16);
+  switch (const std::size_t rem = m - j; (rem + 3) / 4) {
+    case 0: break;
+    case 1: pass.template operator()<1, true>(j, rem); break;
+    case 2: pass.template operator()<2, true>(j, rem); break;
+    case 3: pass.template operator()<3, true>(j, rem); break;
+    default: pass.template operator()<4, true>(j, rem); break;
+  }
 }
 
 }  // namespace
 
-void mvm_dot8_avx2(const float* w, std::int64_t stride, const float* x,
-                   std::size_t n, float out[8]) {
-  const float* wa0 = w + 0 * stride;
-  const float* wa1 = w + 1 * stride;
-  const float* wa2 = w + 2 * stride;
-  const float* wa3 = w + 3 * stride;
-  const float* wb0 = w + 4 * stride;
-  const float* wb1 = w + 5 * stride;
-  const float* wb2 = w + 6 * stride;
-  const float* wb3 = w + 7 * stride;
-  __m256d sa = _mm256_setzero_pd();
-  __m256d sb = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    __m128 la[4], lb[4];
-    load_transpose4(wa0, wa1, wa2, wa3, k, la);
-    load_transpose4(wb0, wb1, wb2, wb3, k, lb);
-    for (int t = 0; t < 4; ++t) {
-      const __m256d xk = _mm256_set1_pd(static_cast<double>(x[k + t]));
-      sa = _mm256_fmadd_pd(_mm256_cvtps_pd(la[t]), xk, sa);
-      sb = _mm256_fmadd_pd(_mm256_cvtps_pd(lb[t]), xk, sb);
+void mvm_dot_avx2(const float* w, std::size_t ld, std::size_t m,
+                  const float* x, std::size_t n, float* out) {
+  column_passes(m, [&]<int kL, bool kMasked>(std::size_t j, std::size_t width) {
+    const __m128i mask = first_lanes(width - 4 * (kL - 1));
+    __m256d s[kL];
+    for (int l = 0; l < kL; ++l) s[l] = _mm256_setzero_pd();
+    const float* row = w + j;
+    for (std::size_t k = 0; k < n; ++k, row += ld) {
+      const __m256d xk = _mm256_set1_pd(static_cast<double>(x[k]));
+      for (int l = 0; l < kL; ++l) {
+        const __m128 wl = load_chunk<kL, kMasked>(row, l, mask);
+        s[l] = _mm256_fmadd_pd(_mm256_cvtps_pd(wl), xk, s[l]);
+      }
     }
-  }
-  for (; k < n; ++k) {
-    const __m256d xk = _mm256_set1_pd(static_cast<double>(x[k]));
-    sa = _mm256_fmadd_pd(
-        _mm256_cvtps_pd(gather_lane(wa0, wa1, wa2, wa3, k)), xk, sa);
-    sb = _mm256_fmadd_pd(
-        _mm256_cvtps_pd(gather_lane(wb0, wb1, wb2, wb3, k)), xk, sb);
-  }
-  _mm_storeu_ps(out, _mm256_cvtpd_ps(sa));
-  _mm_storeu_ps(out + 4, _mm256_cvtpd_ps(sb));
+    store_sums<kL, kMasked>(out + j, s, mask);
+  });
 }
 
-void ir_fused8_avx2(const float* w, std::int64_t stride, const float* x,
-                    std::size_t n, float kappa, float out[8]) {
-  const float* wa0 = w + 0 * stride;
-  const float* wa1 = w + 1 * stride;
-  const float* wa2 = w + 2 * stride;
-  const float* wa3 = w + 3 * stride;
-  const float* wb0 = w + 4 * stride;
-  const float* wb1 = w + 5 * stride;
-  const float* wb2 = w + 6 * stride;
-  const float* wb3 = w + 7 * stride;
+void ir_fused_avx2(const float* w, std::size_t ld, std::size_t m,
+                   const float* x, std::size_t n, float kappa, float* out) {
   const __m256d kd = _mm256_set1_pd(static_cast<double>(kappa));
   const __m256d inv_n = _mm256_set1_pd(1.0 / static_cast<double>(n));
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m128 absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  __m256d caa = _mm256_setzero_pd(), cab = _mm256_setzero_pd();
-  __m256d aa = _mm256_setzero_pd(), ab = _mm256_setzero_pd();
-  // One lane step of the scalar recurrence (see header for the op map).
-  const auto step = [&](__m128 wf, __m128 xk, __m256d& ca, __m256d& acc) {
-    const __m128 c = _mm_mul_ps(wf, xk);
-    ca = _mm256_add_pd(ca, _mm256_cvtps_pd(_mm_and_ps(c, absmask)));
-    const __m256d t = _mm256_mul_pd(kd, ca);
-    const __m256d factor = _mm256_fnmadd_pd(t, inv_n, one);
-    acc = _mm256_fmadd_pd(_mm256_cvtps_pd(c), factor, acc);
-  };
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    __m128 la[4], lb[4];
-    load_transpose4(wa0, wa1, wa2, wa3, k, la);
-    load_transpose4(wb0, wb1, wb2, wb3, k, lb);
-    for (int t = 0; t < 4; ++t) {
-      const __m128 xk = _mm_set1_ps(x[k + t]);
-      step(la[t], xk, caa, aa);
-      step(lb[t], xk, cab, ab);
+  const __m256d absmask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+  column_passes(m, [&]<int kL, bool kMasked>(std::size_t j, std::size_t width) {
+    const __m128i mask = first_lanes(width - 4 * (kL - 1));
+    __m256d ca[kL], acc[kL];
+    for (int l = 0; l < kL; ++l) {
+      ca[l] = _mm256_setzero_pd();
+      acc[l] = _mm256_setzero_pd();
     }
+    const float* row = w + j;
+    for (std::size_t k = 0; k < n; ++k, row += ld) {
+      const __m128 xk = _mm_set1_ps(x[k]);
+      for (int l = 0; l < kL; ++l) {
+        const __m128 wl = load_chunk<kL, kMasked>(row, l, mask);
+        // One lane step of the scalar recurrence (see header for the op
+        // map); |c| is exact in either precision, so it is taken after
+        // the one widening conversion.
+        const __m256d c = _mm256_cvtps_pd(_mm_mul_ps(wl, xk));
+        ca[l] = _mm256_add_pd(ca[l], _mm256_and_pd(c, absmask));
+        const __m256d t = _mm256_mul_pd(kd, ca[l]);
+        const __m256d factor = _mm256_fnmadd_pd(t, inv_n, one);
+        acc[l] = _mm256_fmadd_pd(c, factor, acc[l]);
+      }
+    }
+    store_sums<kL, kMasked>(out + j, acc, mask);
+  });
+}
+
+namespace {
+
+// (float)fma(stddev, g, 0.0) for eight draws held as two 4-wide halves.
+inline __m256 scaled_draws(__m256d sd, __m256d lo, __m256d hi) {
+  const __m256d zero = _mm256_setzero_pd();
+  return _mm256_set_m128(_mm256_cvtpd_ps(_mm256_fmadd_pd(sd, hi, zero)),
+                         _mm256_cvtpd_ps(_mm256_fmadd_pd(sd, lo, zero)));
+}
+
+}  // namespace
+
+std::int64_t finish_columns_avx2(const float* acc, std::size_t m,
+                                 const ColumnEpilogue& e, float* y) {
+  const bool adc = e.adc_steps > 0.0f;
+  const float half = e.adc_steps / 2.0f;
+  const __m256d sd0 = _mm256_set1_pd(e.stddev[0]);
+  const __m256d sd1 = _mm256_set1_pd(e.stddev[1]);
+  const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  const __m256 signmask = _mm256_castsi256_ps(_mm256_set1_epi32(
+      static_cast<int>(0x80000000u)));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 vhalfc = _mm256_set1_ps(0.5f);
+  const __m256 vb = _mm256_set1_ps(e.adc_bound);
+  const __m256 vh = _mm256_set1_ps(half);
+  const __m256 vnh = _mm256_set1_ps(-half);
+  const __m256 vh1 = _mm256_set1_ps(half - 1.0f);
+  const __m256 va = _mm256_set1_ps(e.alpha);
+  const double* g = e.noise;
+  std::int64_t saturated = 0;
+  std::size_t j = 0;
+  for (; j + 8 <= m; j += 8) {
+    __m256 a = _mm256_loadu_ps(acc + j);
+    if (e.draws == 1) {
+      a = _mm256_add_ps(a, scaled_draws(sd0, _mm256_loadu_pd(g + j),
+                                        _mm256_loadu_pd(g + j + 4)));
+    } else if (e.draws == 2) {
+      // Draws are column-interleaved (first, second, first, ...):
+      // unpack pairs and restore column order within each half.
+      const double* gj = g + 2 * j;
+      const __m256d p0 = _mm256_loadu_pd(gj);
+      const __m256d p1 = _mm256_loadu_pd(gj + 4);
+      const __m256d p2 = _mm256_loadu_pd(gj + 8);
+      const __m256d p3 = _mm256_loadu_pd(gj + 12);
+      const __m256d f_lo = _mm256_permute4x64_pd(_mm256_unpacklo_pd(p0, p1), 0xD8);
+      const __m256d s_lo = _mm256_permute4x64_pd(_mm256_unpackhi_pd(p0, p1), 0xD8);
+      const __m256d f_hi = _mm256_permute4x64_pd(_mm256_unpacklo_pd(p2, p3), 0xD8);
+      const __m256d s_hi = _mm256_permute4x64_pd(_mm256_unpackhi_pd(p2, p3), 0xD8);
+      a = _mm256_add_ps(a, scaled_draws(sd0, f_lo, f_hi));
+      a = _mm256_add_ps(a, scaled_draws(sd1, s_lo, s_hi));
+    }
+    if (adc) {
+      const __m256 sat =
+          _mm256_cmp_ps(_mm256_and_ps(a, absmask), vb, _CMP_GE_OQ);
+      saturated += _mm_popcnt_u32(
+          static_cast<unsigned>(_mm256_movemask_ps(sat)));
+      const __m256 v = _mm256_mul_ps(_mm256_div_ps(a, vb), vh);
+      // round_half_away by trunc and blend (see the DAC kernel: a blend
+      // keeps trunc's -0 where an add of +0 would not).
+      const __m256 t =
+          _mm256_round_ps(v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+      const __m256 frac = _mm256_and_ps(_mm256_sub_ps(v, t), absmask);
+      const __m256 ge = _mm256_cmp_ps(frac, vhalfc, _CMP_GE_OQ);
+      const __m256 sign1 = _mm256_or_ps(one, _mm256_and_ps(v, signmask));
+      __m256 q = _mm256_blendv_ps(t, _mm256_add_ps(t, sign1), ge);
+      // std::clamp(q, lo, hi) is (q < lo ? lo : hi < q ? hi : q); max/min
+      // with the bound first return q itself when it is NaN or -0.
+      q = _mm256_max_ps(vnh, q);
+      q = _mm256_min_ps(vh1, q);
+      a = _mm256_div_ps(_mm256_mul_ps(q, vb), vh);
+    }
+    const __m256 scale = _mm256_mul_ps(va, _mm256_loadu_ps(e.gamma + j));
+    _mm256_storeu_ps(y + j, _mm256_fmadd_ps(scale, a, _mm256_loadu_ps(y + j)));
   }
-  for (; k < n; ++k) {
-    const __m128 xk = _mm_set1_ps(x[k]);
-    step(gather_lane(wa0, wa1, wa2, wa3, k), xk, caa, aa);
-    step(gather_lane(wb0, wb1, wb2, wb3, k), xk, cab, ab);
+  for (; j < m; ++j) {
+    float a = acc[j];
+    for (int d = 0; d < e.draws; ++d) {
+      a += static_cast<float>(std::fma(e.stddev[d], g[e.draws * j + d], 0.0));
+    }
+    if (adc) {
+      if (std::fabs(a) >= e.adc_bound) ++saturated;
+      // round_half_away without the roundf libcall (bit-equal to it).
+      const float v = a / e.adc_bound * half;
+      const float t = std::trunc(v);
+      float q = std::fabs(v - t) >= 0.5f ? t + std::copysign(1.0f, v) : t;
+      q = std::clamp(q, -half, half - 1.0f);
+      a = q * e.adc_bound / half;
+    }
+    y[j] = std::fma(e.alpha * e.gamma[j], a, y[j]);
   }
-  _mm_storeu_ps(out, _mm256_cvtpd_ps(aa));
-  _mm_storeu_ps(out + 4, _mm256_cvtpd_ps(ab));
+  return saturated;
 }
 
 std::int64_t dac_scale_clip_quantize_avx2(const float* xs, float* out,
@@ -208,12 +297,16 @@ void scale_convert_avx2(float* dst, const double* raw, std::size_t n,
 
 // util::simd::active() never returns kAvx2 in a build without AVX2+FMA,
 // so these are unreachable; they exist to keep the link uniform.
-void mvm_dot8_avx2(const float*, std::int64_t, const float*, std::size_t,
-                   float[8]) {
+void mvm_dot_avx2(const float*, std::size_t, std::size_t, const float*,
+                  std::size_t, float*) {
   std::abort();
 }
-void ir_fused8_avx2(const float*, std::int64_t, const float*, std::size_t,
-                    float, float[8]) {
+void ir_fused_avx2(const float*, std::size_t, std::size_t, const float*,
+                   std::size_t, float, float*) {
+  std::abort();
+}
+std::int64_t finish_columns_avx2(const float*, std::size_t,
+                                 const ColumnEpilogue&, float*) {
   std::abort();
 }
 std::int64_t dac_scale_clip_quantize_avx2(const float*, float*, std::size_t,

@@ -21,23 +21,49 @@
 
 namespace nora::util::simd {
 
-/// Eight-column double-precision dot product, columns at stride `stride`
-/// from `w`: out[i] = (float)sum_k fma((double)w[i*stride + k], (double)x[k], ·)
-/// — the exact loop-carried fma chain of AnalogTile's quad accumulate,
-/// run on eight independent columns (two 4-lane chains).
-void mvm_dot8_avx2(const float* w, std::int64_t stride, const float* x,
-                   std::size_t n, float out[8]);
+/// Row-major double-precision dot products over the m columns of a
+/// [n x ld] float tile: out[j] = (float)acc_j with
+///   acc_j = fma((double)w[k*ld + j], (double)x[k], acc_j)   for k = 0..n-1
+/// — the loop-carried fma chain of AnalogTile's scalar accumulate, run on
+/// sixteen columns per pass (four independent 4-lane chains).
+void mvm_dot_avx2(const float* w, std::size_t ld, std::size_t m,
+                  const float* x, std::size_t n, float* out);
 
-/// Eight-column fused IR-drop accumulate. Per column, per row k (exactly
-/// the compiled scalar recurrence of IrDropModel::accumulate_columns_fused4):
-///   c      = w[k] * x[k]                      (float multiply)
-///   ca    += (double)fabsf(c)
+/// Row-major fused IR-drop accumulate over the m columns of a [n x ld]
+/// float tile. Per column j, per row k (exactly the compiled scalar
+/// recurrence of IrDropModel::accumulate_column_fused):
+///   c      = w[k*ld + j] * x[k]               (float multiply)
+///   ca    += fabs((double)c)
 ///   t      = (double)kappa * ca
 ///   factor = fnma(t, inv_n, 1.0)              (single-rounded 1 - t*inv_n)
 ///   acc    = fma((double)c, factor, acc)
-/// with inv_n = 1.0 / (double)n. out[i] = (float)acc_i.
-void ir_fused8_avx2(const float* w, std::int64_t stride, const float* x,
-                    std::size_t n, float kappa, float out[8]);
+/// with inv_n = 1.0 / (double)n. out[j] = (float)acc. Sixteen columns
+/// per pass, one float-to-double conversion per four lanes.
+void ir_fused_avx2(const float* w, std::size_t ld, std::size_t m,
+                   const float* x, std::size_t n, float kappa, float* out);
+
+/// Per-column read-out of one tile MVM, after the column sums.
+struct ColumnEpilogue {
+  const double* noise = nullptr;  // draws * m standard normals, column-major
+  int draws = 0;                  // 0, 1 or 2 draws per column
+  double stddev[2] = {0.0, 0.0};  // scale of a column's first / second draw
+  float adc_steps = 0.0f;         // 0 disables the ADC
+  float adc_bound = 1.0f;
+  float alpha = 1.0f;
+  const float* gamma = nullptr;   // per-column scale [m]
+};
+
+/// The lane image of AnalogTile's scalar per-column epilogue, for
+/// j in [0, m):
+///   a  = acc[j]; a += (float)fma(stddev[d], noise[draws*j + d], 0.0)
+///        for each draw d in order
+///   when adc_steps > 0: count |a| >= bound as a saturation, then
+///        a = clamp(round_half_away(a / bound * half), -half, half - 1)
+///            * bound / half                   (half = adc_steps / 2)
+///   y[j] = fma(alpha * gamma[j], a, y[j])
+/// Returns the number of saturated columns.
+std::int64_t finish_columns_avx2(const float* acc, std::size_t m,
+                                 const ColumnEpilogue& e, float* y);
 
 /// DAC input pipeline, vector stage: v = xs[k]*inv_alpha, clip to ±1
 /// (counting clips), then — when steps > 0 — the mid-tread quantizer

@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "cim/analog_tile.hpp"
+#include "noise/drift.hpp"
+#include "noise/ir_drop.hpp"
 #include "tensor/ops.hpp"
 
 namespace nora::cim {
@@ -164,6 +166,80 @@ TEST(AnalogTile, DriftReducesThenCompensationRestoresScale) {
   tile2.set_read_time(3600.0f);
   tile2.mvm(x_hat, xl2, 1.0f, yc, rng);
   EXPECT_NEAR(yc[0], y0[0], 1e-3);
+}
+
+// mvm reads the effective conductances row-major, while set_read_time
+// derives the read-time state in the programmed (transposed) layout and
+// upset_device / wear_stuck write single cells. Pin every writer against
+// an independent reference: column-by-column
+// IrDropModel::accumulate_column_fused over conductances rebuilt here
+// from the weights, the applied upsets and wear, and the drift model fed
+// the tile's own "drift" stream. Noise and the ADC are off, so each
+// output is exact; 37 columns cover two full 16-column kernel passes and
+// a masked tail.
+TEST(AnalogTile, RowMajorReadLayoutTracksUpsetsWearAndDrift) {
+  const std::int64_t rows = 40, cols = 37;
+  const Matrix w = random_matrix(rows, cols, 21);
+  TileConfig cfg = TileConfig::ideal_except_ir_drop(1.0f);
+  cfg.abft_checksum = true;
+  cfg.drift_enabled = true;
+  const util::Rng tile_rng(22);
+  AnalogTile tile(w, cfg, tile_rng);
+  // As-programmed conductances, one contiguous column per row.
+  Matrix programmed(cols, rows);
+  for (std::int64_t k = 0; k < rows; ++k) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      programmed.at(j, k) = w.at(k, j) / tile.gamma()[static_cast<std::size_t>(j)];
+    }
+  }
+  Matrix ref = programmed;
+  const noise::IrDropModel ir(cfg.ir_drop, static_cast<int>(rows));
+  const std::vector<float> x_hat = random_vec(rows, 23);
+  const float alpha = 0.75f;
+  const auto expect_matches = [&](const char* stage) {
+    std::vector<float> y(static_cast<std::size_t>(cols), 0.0f);
+    util::Rng rng(24);
+    tile.mvm(x_hat, l2(x_hat), alpha, y, rng);
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const float acc = ir.accumulate_column_fused(
+          ref.row(j).data(), x_hat.data(), static_cast<std::size_t>(rows));
+      const float gamma = tile.gamma()[static_cast<std::size_t>(j)];
+      EXPECT_EQ(y[static_cast<std::size_t>(j)], std::fma(alpha * gamma, acc, 0.0f))
+          << stage << ", column " << j;
+    }
+  };
+
+  expect_matches("as programmed");
+  expect_matches("as programmed, second read");
+  EXPECT_EQ(tile.abft_stats().checks, 2);
+  EXPECT_EQ(tile.abft_stats().residual_max, 0.0);  // untouched: exactly 0
+
+  // Upsets in a full kernel pass and in the masked tail.
+  tile.upset_device(5, 3, 0.9f);
+  ref.at(5, 3) = 0.9f;
+  tile.upset_device(35, 39, -0.6f);
+  ref.at(35, 39) = -0.6f;
+  expect_matches("after upset_device");
+
+  tile.wear_stuck(20, 11, 0.0f);
+  ref.at(20, 11) = 0.0f;
+  tile.wear_stuck(36, 0, 1.0f);
+  ref.at(36, 0) = 1.0f;
+  expect_matches("after wear_stuck");
+
+  // A drifted re-read re-derives every device, clearing the upsets; wear
+  // drifts with the programmed state and is then pinned again.
+  const float t = 3600.0f;
+  tile.set_read_time(t);
+  ref = programmed;
+  ref.at(20, 11) = 0.0f;
+  ref.at(36, 0) = 1.0f;
+  util::Rng drift_rng = tile_rng.split("drift");
+  const noise::PcmDriftModel drift(cfg.drift);
+  drift.apply(ref, drift.sample_exponents(cols, rows, drift_rng), t);
+  ref.at(20, 11) = 0.0f;
+  ref.at(36, 0) = 1.0f;
+  expect_matches("after set_read_time with drift");
 }
 
 TEST(AnalogTile, RejectsBadShapes) {

@@ -6,7 +6,8 @@
 // with explicit std::fma — a correctly-rounded single operation, so the
 // reference is identical under every optimization level — and demand
 // the kernels match bit for bit on randomized inputs spanning several
-// magnitudes, plus the ragged tail lengths the gather fallbacks handle.
+// magnitudes, plus the ragged tail lengths the masked and scalar tails
+// handle.
 // The golden-stream suite (run with NORA_FORCE_SCALAR on and off)
 // covers the production call sites end to end; this file pins each
 // kernel in isolation so a divergence names the broken kernel directly.
@@ -94,52 +95,168 @@ TEST(RoundHalfAway, MatchesStdRoundEverywhere) {
   }
 }
 
-TEST(SimdKernels, MvmDot8MatchesFmaChain) {
+// Column counts of the row-major tile kernels: ragged tails of 1, 2 and
+// 3 masked lanes past whole chunks, http_short's 16x12 tile, one full
+// 16-column pass, lm_head's 26-column tail tile, a Table II 64-column
+// tile and a 512-column one.
+constexpr std::size_t kColumnCounts[] = {1, 4, 8, 12, 16, 26, 64, 512};
+
+TEST(SimdKernels, RowMajorDotMatchesFmaChain) {
   REQUIRE_AVX2();
   std::mt19937 gen(7);
-  // Odd lengths exercise the per-row gather tail after the 4-wide body.
-  for (const std::size_t n : {1u, 4u, 7u, 16u, 33u, 257u}) {
-    const std::int64_t stride = static_cast<std::int64_t>(n);
-    const std::vector<float> w = random_floats(gen, 8 * n, 2.0f);
-    const std::vector<float> x = random_floats(gen, n, 2.0f);
-    float out[8];
-    util::simd::mvm_dot8_avx2(w.data(), stride, x.data(), n, out);
-    for (int i = 0; i < 8; ++i) {
-      double acc = 0.0;
-      const float* wi = w.data() + i * stride;
-      for (std::size_t k = 0; k < n; ++k) {
-        acc = std::fma(static_cast<double>(wi[k]),
-                       static_cast<double>(x[k]), acc);
+  for (const std::size_t m : kColumnCounts) {
+    for (const std::size_t n : {1u, 5u, 64u}) {
+      // A padded leading dimension checks that each row starts at k * ld.
+      for (const std::size_t ld : {m, m + 3}) {
+        const std::vector<float> w = random_floats(gen, n * ld, 2.0f);
+        const std::vector<float> x = random_floats(gen, n, 2.0f);
+        // Guard lanes past the m outputs must survive the masked store.
+        std::vector<float> out(m + 4, 7.0f);
+        util::simd::mvm_dot_avx2(w.data(), ld, m, x.data(), n, out.data());
+        for (std::size_t j = 0; j < m; ++j) {
+          double acc = 0.0;
+          for (std::size_t k = 0; k < n; ++k) {
+            acc = std::fma(static_cast<double>(w[k * ld + j]),
+                           static_cast<double>(x[k]), acc);
+          }
+          EXPECT_TRUE(same_bits(out[j], static_cast<float>(acc)))
+              << "m " << m << ", n " << n << ", ld " << ld << ", col " << j;
+        }
+        for (std::size_t j = m; j < m + 4; ++j) EXPECT_EQ(out[j], 7.0f);
       }
-      EXPECT_TRUE(same_bits(out[i], static_cast<float>(acc)))
-          << "n = " << n << ", col " << i;
     }
   }
 }
 
-TEST(SimdKernels, IrFused8MatchesScalarRecurrence) {
+TEST(SimdKernels, RowMajorIrFusedMatchesScalarRecurrence) {
   REQUIRE_AVX2();
   std::mt19937 gen(11);
-  const float kappa = 0.05f * 1.0f * (48.0f / 512.0f);
-  for (const std::size_t n : {1u, 5u, 16u, 48u, 131u}) {
-    const std::int64_t stride = static_cast<std::int64_t>(n);
-    const std::vector<float> w = random_floats(gen, 8 * n, 1.0f);
-    const std::vector<float> x = random_floats(gen, n, 1.0f);
-    float out[8];
-    util::simd::ir_fused8_avx2(w.data(), stride, x.data(), n, kappa, out);
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (int i = 0; i < 8; ++i) {
-      const float* wi = w.data() + i * stride;
-      double ca = 0.0, acc = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        const float c = wi[k] * x[k];
-        ca += static_cast<double>(std::fabs(c));
-        const double t = static_cast<double>(kappa) * ca;
-        const double factor = std::fma(-t, inv_n, 1.0);
-        acc = std::fma(static_cast<double>(c), factor, acc);
+  for (const std::size_t m : kColumnCounts) {
+    for (const std::size_t n : {1u, 5u, 64u}) {
+      const float kappa = 0.05f * 1.0f * (static_cast<float>(n) / 512.0f);
+      for (const std::size_t ld : {m, m + 3}) {
+        const std::vector<float> w = random_floats(gen, n * ld, 1.0f);
+        const std::vector<float> x = random_floats(gen, n, 1.0f);
+        std::vector<float> out(m + 4, 7.0f);
+        util::simd::ir_fused_avx2(w.data(), ld, m, x.data(), n, kappa,
+                                  out.data());
+        const double inv_n = 1.0 / static_cast<double>(n);
+        for (std::size_t j = 0; j < m; ++j) {
+          double ca = 0.0, acc = 0.0;
+          for (std::size_t k = 0; k < n; ++k) {
+            const float c = w[k * ld + j] * x[k];
+            ca += static_cast<double>(std::fabs(c));
+            const double t = static_cast<double>(kappa) * ca;
+            const double factor = std::fma(-t, inv_n, 1.0);
+            acc = std::fma(static_cast<double>(c), factor, acc);
+          }
+          EXPECT_TRUE(same_bits(out[j], static_cast<float>(acc)))
+              << "m " << m << ", n " << n << ", ld " << ld << ", col " << j;
+        }
+        for (std::size_t j = m; j < m + 4; ++j) EXPECT_EQ(out[j], 7.0f);
       }
-      EXPECT_TRUE(same_bits(out[i], static_cast<float>(acc)))
-          << "n = " << n << ", col " << i;
+    }
+  }
+}
+
+// Column sums that sit on the converter's edges for bound 12 and 128
+// steps (step 0.1875, exact in binary): ±0, exactly ±bound and one ulp
+// either side, beyond the rails, ±inf and NaN, and every k + 0.5 tie of
+// the rounding.
+std::vector<float> adc_edge_values() {
+  const float bound = 12.0f;
+  std::vector<float> v = {0.0f,
+                          -0.0f,
+                          bound,
+                          -bound,
+                          std::nextafter(bound, 0.0f),
+                          std::nextafter(-bound, 0.0f),
+                          std::nextafter(bound, 100.0f),
+                          std::nextafter(-bound, -100.0f),
+                          30.0f,
+                          -30.0f,
+                          1e-30f,
+                          -1e-30f,
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()};
+  for (int k = -66; k <= 65; ++k) {
+    v.push_back((static_cast<float>(k) + 0.5f) * 0.1875f);
+  }
+  return v;
+}
+
+TEST(SimdKernels, ColumnEpilogueMatchesScalarReadOut) {
+  REQUIRE_AVX2();
+  std::mt19937 gen(13);
+  std::normal_distribution<double> nd(0.0, 1.0);
+  std::uniform_real_distribution<float> gamma_dist(0.1f, 2.1f);
+  const std::vector<float> edges = adc_edge_values();
+  for (const std::size_t m : kColumnCounts) {
+    for (const int draws : {0, 1, 2}) {
+      for (const float steps : {0.0f, 128.0f}) {  // ADC off / 7-bit
+        // Every edge value visits every even column in turn, so the
+        // vector body and the scalar tail both meet each of them.
+        for (std::size_t offset = 0; offset < edges.size(); ++offset) {
+          // Random sums spanning the rails, with the edge values laid over
+          // the even columns.
+          std::vector<float> acc = random_floats(gen, m, 16.0f);
+          for (std::size_t j = 0; j < m; j += 2) {
+            acc[j] = edges[(j / 2 + offset) % edges.size()];
+          }
+          // Zero draws keep the edge values on their edges.
+          std::vector<double> noise(static_cast<std::size_t>(draws) * m);
+          for (std::size_t i = 0; i < noise.size(); ++i) {
+            noise[i] = (i / static_cast<std::size_t>(draws)) % 2 == 0
+                           ? (i % 3 == 0 ? -0.0 : 0.0)
+                           : nd(gen);
+          }
+          std::vector<float> gamma(m);
+          for (auto& g : gamma) g = gamma_dist(gen);
+          std::vector<float> y = random_floats(gen, m, 1.0f);
+          for (std::size_t j = 0; j < m; j += 5) {
+            y[j] = (j % 10 == 0) ? 0.0f : -0.0f;
+          }
+          std::vector<float> want = y;
+
+          util::simd::ColumnEpilogue e;
+          e.noise = noise.data();
+          e.draws = draws;
+          e.stddev[0] = 0.3;
+          e.stddev[1] = 0.04;
+          e.adc_steps = steps;
+          e.adc_bound = 12.0f;
+          e.alpha = 0.7f;
+          e.gamma = gamma.data();
+          const std::int64_t got_sat =
+              util::simd::finish_columns_avx2(acc.data(), m, e, y.data());
+
+          const float half = steps / 2.0f;
+          std::int64_t want_sat = 0;
+          for (std::size_t j = 0; j < m; ++j) {
+            float a = acc[j];
+            for (int d = 0; d < draws; ++d) {
+              a += static_cast<float>(
+                  std::fma(e.stddev[d], noise[draws * j + d], 0.0));
+            }
+            if (steps > 0.0f) {
+              if (std::fabs(a) >= e.adc_bound) ++want_sat;
+              float q = noise::UniformQuantizer::round_half_away(
+                  a / e.adc_bound * half);
+              q = std::clamp(q, -half, half - 1.0f);
+              a = q * e.adc_bound / half;
+            }
+            want[j] = std::fma(e.alpha * gamma[j], a, want[j]);
+          }
+          EXPECT_EQ(got_sat, want_sat)
+              << "m " << m << ", draws " << draws << ", steps " << steps;
+          for (std::size_t j = 0; j < m; ++j) {
+            EXPECT_TRUE(same_bits(y[j], want[j]))
+                << "m " << m << ", draws " << draws << ", steps " << steps
+                << ", col " << j << ", sum " << acc[j];
+          }
+        }
+      }
     }
   }
 }

@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "cim/tile_config.hpp"
+#include "event_clock.hpp"
 #include "nn/transformer.hpp"
 #include "serve/scheduler.hpp"
-#include "timing/event_clock.hpp"
 #include "timing/hw_model.hpp"
 #include "timing/resource.hpp"
 #include "timing/trace.hpp"
