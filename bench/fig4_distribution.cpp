@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                         .attention().qkv();
   qkv.set_capture_full(true);
   for (const auto& tokens : task.calibration_set(32)) {
-    model->forward(tokens);
+    model->infer(tokens);
   }
   const Matrix& acts = qkv.captured_inputs();
   // Query-projection weight = the first d_model output columns of QKV.

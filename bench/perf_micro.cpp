@@ -39,8 +39,9 @@ void BM_AnalogIdeal(benchmark::State& state) {
   const Matrix w = random_matrix(n, n, 3);
   const Matrix x = random_matrix(8, n, 4);
   cim::AnalogMatmul unit(w, {}, cim::TileConfig::ideal(), 5);
+  const auto keys = cim::stream_keys(0, x.rows());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(unit.forward(x));
+    benchmark::DoNotOptimize(unit.forward(x, keys));
   }
   state.SetItemsProcessed(state.iterations() * 8 * n * n);
 }
@@ -51,8 +52,9 @@ void BM_AnalogTable2(benchmark::State& state) {
   const Matrix w = random_matrix(n, n, 6);
   const Matrix x = random_matrix(8, n, 7);
   cim::AnalogMatmul unit(w, {}, cim::TileConfig::paper_table2(), 8);
+  const auto keys = cim::stream_keys(0, x.rows());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(unit.forward(x));
+    benchmark::DoNotOptimize(unit.forward(x, keys));
   }
   state.SetItemsProcessed(state.iterations() * 8 * n * n);
 }
@@ -63,8 +65,9 @@ void BM_AnalogIrDropOnly(benchmark::State& state) {
   const Matrix w = random_matrix(n, n, 9);
   const Matrix x = random_matrix(8, n, 10);
   cim::AnalogMatmul unit(w, {}, cim::TileConfig::ideal_except_ir_drop(1.0f), 11);
+  const auto keys = cim::stream_keys(0, x.rows());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(unit.forward(x));
+    benchmark::DoNotOptimize(unit.forward(x, keys));
   }
   state.SetItemsProcessed(state.iterations() * 8 * n * n);
 }
@@ -97,8 +100,9 @@ void BM_AnalogTable2ThreadScaling(benchmark::State& state) {
   cim::TileConfig cfg = cim::TileConfig::paper_table2();
   cfg.n_threads = threads;
   cim::AnalogMatmul unit(w, {}, cfg, 17);
+  const auto keys = cim::stream_keys(0, x.rows());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(unit.forward(x));
+    benchmark::DoNotOptimize(unit.forward(x, keys));
   }
   state.SetItemsProcessed(state.iterations() * 16 * n * n);
   state.counters["threads"] = threads;

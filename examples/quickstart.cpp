@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   util::Table table({"mapping", "output MSE", "rel err (%)", "mean alpha*gamma"});
   for (const bool use_nora : {false, true}) {
     cim::AnalogMatmul unit(w, use_nora ? s : std::vector<float>{}, hw, 42);
-    const Matrix y = unit.forward(x);
+    const Matrix y = unit.forward(x, cim::stream_keys(0, x.rows()));
     const double err = ops::mse(y, ref);
     const double rel =
         std::sqrt(err) / (ops::frobenius_norm(ref) / std::sqrt(double(ref.size())));

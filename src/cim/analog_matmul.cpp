@@ -257,15 +257,6 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
   std::copy_n(ws.counters.begin(), n_tiles, tiles.begin());
 }
 
-Matrix AnalogMatmul::forward(const Matrix& x) {
-  // Validated first so a rejected call does not consume a call index.
-  if (x.cols() != k_) throw std::invalid_argument("AnalogMatmul::forward: dim mismatch");
-  const std::uint64_t call = call_index_++;
-  call_keys_.resize(static_cast<std::size_t>(x.rows()));
-  for (std::size_t t = 0; t < call_keys_.size(); ++t) call_keys_[t] = {call, t};
-  return forward(x, call_keys_);
-}
-
 Matrix AnalogMatmul::forward(const Matrix& x, std::span<const StreamKey> keys) {
   if (x.cols() != k_) throw std::invalid_argument("AnalogMatmul::forward: dim mismatch");
   if (static_cast<std::int64_t>(keys.size()) != x.rows()) {
@@ -276,8 +267,8 @@ Matrix AnalogMatmul::forward(const Matrix& x, std::span<const StreamKey> keys) {
   Matrix y(t_count, n_);
   // For the kAvgAbsMax policy the scale is shared across an alpha
   // group: each contiguous run of rows with equal StreamKey::stream (so
-  // a request's alpha never depends on its batch neighbours, and an
-  // unkeyed call — one stream — shares one scale over all its rows).
+  // a request's alpha never depends on its batch neighbours, and a
+  // one-stream call shares one scale over all its rows).
   std::vector<std::int64_t>& group_of = group_of_;  // row -> alpha-group index
   std::int64_t n_groups = t_count > 0 ? 1 : 0;
   if (t_count > 0) {

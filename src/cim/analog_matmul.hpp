@@ -52,12 +52,20 @@ struct ShardPlan {
 /// caller — not the call sequence — decides which noise a row sees. The
 /// serving layer keys rows on (request stream, request-local position),
 /// which is what makes a request's output bit-identical whether it is
-/// served alone or inside a continuously-formed batch; the unkeyed
-/// forward keys them on (call index, row).
+/// served alone or inside a continuously-formed batch.
 struct StreamKey {
   std::uint64_t stream = 0;
   std::uint64_t token = 0;
 };
+
+/// Keys {stream, t} for rows t < rows: how a fresh single-segment
+/// TransformerLM::forward_serve keys a sequence on one stream.
+inline std::vector<StreamKey> stream_keys(std::uint64_t stream,
+                                          std::int64_t rows) {
+  std::vector<StreamKey> keys(static_cast<std::size_t>(rows));
+  for (std::size_t t = 0; t < keys.size(); ++t) keys[t] = {stream, t};
+  return keys;
+}
 
 struct ArrayStats {
   double alpha_sum = 0.0;          // sum of final per-(token, block) alphas
@@ -124,13 +132,6 @@ class AnalogMatmul {
   /// token and column if any output is NaN/Inf — non-finite values must
   /// not propagate silently into the rest of the transformer.
   Matrix forward(const Matrix& x, std::span<const StreamKey> keys);
-
-  /// Unkeyed forward: exactly forward(x, keys) with keys[t] = {n, t},
-  /// where n counts the unkeyed calls made on this unit before this one.
-  /// Successive calls therefore see fresh, decorrelated noise, and the
-  /// result is deterministic given the construction seed and the call
-  /// sequence.
-  Matrix forward(const Matrix& x);
 
   /// PCM drift: re-read all tiles t seconds after programming.
   void set_read_time(float t_seconds);
@@ -245,17 +246,13 @@ class AnalogMatmul {
   /// derived from it with derive_stream(stream_base_, key.stream,
   /// key.token, ...).
   std::uint64_t stream_base_ = 0;
-  /// Unkeyed-call counter: the `stream` coordinate of the next unkeyed
-  /// forward (the parallel analogue of an advancing sequential RNG).
-  std::uint64_t call_index_ = 0;
   ArrayStats stats_;
   std::vector<WearRecord> wear_;  // permanent post-deployment faults
   // forward scratch, reused across calls (assign()/resize() keep
   // capacity) so steady-state steps allocate nothing here, whatever mix
   // of row counts they alternate between.
   // forward() was never safe to call concurrently on one AnalogMatmul
-  // (call_index_, stats_); these add no new restriction.
-  std::vector<StreamKey> call_keys_;  // the unkeyed forward's (n, t) keys
+  // (stats_); these add no new restriction.
   std::vector<std::int64_t> group_of_;
   std::vector<float> avg_alpha_;
   std::vector<float> partial_;

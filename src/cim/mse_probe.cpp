@@ -16,10 +16,11 @@ double feature_map_mse(const TileConfig& cfg, const MseProbeOptions& opts) {
   Matrix x(opts.t, opts.k);
   x.fill_gaussian(xrng, 1.0f);
   const Matrix ref = ops::matmul(x, w);
+  const std::vector<StreamKey> keys = stream_keys(0, opts.t);
   double total = 0.0;
   for (int r = 0; r < opts.repeats; ++r) {
     AnalogMatmul unit(w, {}, cfg, util::derive_seed(opts.seed, "probe-" + std::to_string(r)));
-    total += ops::mse(unit.forward(x), ref);
+    total += ops::mse(unit.forward(x, keys), ref);
   }
   return total / opts.repeats;
 }

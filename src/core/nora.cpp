@@ -18,7 +18,7 @@ std::vector<LayerCalibration> calibrate(nn::TransformerLM& model,
   const auto linears = model.linear_layers();
   for (auto* lin : linears) lin->set_capture_input(true);
   for (const auto& tokens : task.calibration_set(n_examples)) {
-    model.forward(tokens, /*training=*/false);
+    model.infer(tokens);
   }
   std::vector<LayerCalibration> out;
   out.reserve(linears.size());
@@ -65,20 +65,14 @@ std::vector<LayerCalibration> deploy_analog(nn::TransformerLM& model,
     cals = calibrate(model, task, opts.nora.calib_examples);
   }
   const auto linears = model.linear_layers();
-  std::vector<std::vector<float>> s_vecs(linears.size());
   for (std::size_t i = 0; i < linears.size(); ++i) {
+    std::vector<float> s;
     if (opts.nora.enabled) {
-      s_vecs[i] = smoothing_vector(cals[i], opts.nora.lambda, opts.nora.s_min);
+      s = smoothing_vector(cals[i], opts.nora.lambda, opts.nora.s_min);
     }
-  }
-  // Programming is deterministic given the layer seed, so a layer can be
-  // re-programmed at any time to restore its exact as-deployed state.
-  const auto program_layer = [&](std::size_t i) {
-    std::vector<float> s = s_vecs[i];
     linears[i]->to_analog(opts.tile, std::move(s),
                           util::derive_seed(opts.seed, linears[i]->name()));
-  };
-  for (std::size_t i = 0; i < linears.size(); ++i) program_layer(i);
+  }
 
   if (report == nullptr && !opts.health.enabled) return cals;
 
@@ -110,15 +104,16 @@ std::vector<LayerCalibration> deploy_analog(nn::TransformerLM& model,
     }
   }
   // (2) Probe forwards: catch non-finite outputs (the AnalogMatmul guard
-  // names the offending layer), degrading one layer per attempt.
+  // names the offending layer), degrading one layer per attempt. Every
+  // attempt scores probe example e on stream e.
   const auto probe_set = task.calibration_set(hp.probe_examples);
   for (std::size_t attempt = 0; attempt <= linears.size(); ++attempt) {
     for (auto* lin : linears) {
       if (lin->is_analog()) lin->analog()->reset_stats();
     }
     try {
-      for (const auto& tokens : probe_set) {
-        model.forward(tokens, /*training=*/false);
+      for (std::size_t e = 0; e < probe_set.size(); ++e) {
+        model.infer(probe_set[e], e);
       }
       break;
     } catch (const std::runtime_error& e) {
@@ -150,11 +145,11 @@ std::vector<LayerCalibration> deploy_analog(nn::TransformerLM& model,
       fall_back(i, why);
     }
   }
-  // (4) Re-program the survivors from their original seeds so the probe
-  // leaves no trace in their noise streams: deployment with health
-  // checking produces the same analog state as deployment without it.
+  // (4) An analog layer is a pure function of (seed, x, keys), so the
+  // probe leaves only statistics behind. Clearing them makes deployment
+  // with health checking leave the same analog state as without it.
   for (std::size_t i = 0; i < linears.size(); ++i) {
-    if (linears[i]->is_analog()) program_layer(i);
+    if (linears[i]->is_analog()) linears[i]->analog()->reset_stats();
   }
   return cals;
 }
@@ -171,7 +166,7 @@ std::vector<LayerDistStats> distribution_stats(nn::TransformerLM& model,
   const auto linears = model.linear_layers();
   for (auto* lin : linears) lin->set_capture_full(true);
   for (const auto& tokens : task.calibration_set(nora.calib_examples)) {
-    model.forward(tokens, /*training=*/false);
+    model.infer(tokens);
   }
   std::vector<LayerDistStats> out;
   out.reserve(linears.size());

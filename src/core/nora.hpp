@@ -90,10 +90,9 @@ struct DeployOptions {
 /// structurally broken layers (fault density beyond repair), layers
 /// producing non-finite probe outputs, and layers saturating the ADC
 /// beyond the policy threshold fall back to the digital path; surviving
-/// analog layers are re-programmed from their original seeds so the
-/// probe leaves no trace in their noise streams (the probe's forwards
-/// are unkeyed, so they would otherwise advance each layer's call index
-/// — the `stream` coordinate of cim::StreamKey). If `report` is non-null
+/// analog layers have their statistics cleared, so the probe leaves no
+/// trace (an analog layer's output depends only on its seed, input and
+/// stream keys, never on earlier calls). If `report` is non-null
 /// it is filled with the per-layer outcome (also when health checking is
 /// disabled, in which case it is purely observational).
 std::vector<LayerCalibration> deploy_analog(

@@ -13,7 +13,10 @@ EvalResult evaluate(nn::TransformerLM& model, const SynthLambada& task,
   int correct = 0;
   for (int i = 0; i < opts.n_examples; ++i) {
     const Example ex = task.make_example(opts.split, static_cast<std::uint64_t>(i));
-    const Matrix logits = model.forward(ex.tokens, /*training=*/false);
+    // Example i is scored on noise stream i: a deployment evaluates to
+    // the same result every time, and each example sees exactly what a
+    // request with its tokens as the prompt would on stream i.
+    const Matrix logits = model.infer(ex.tokens, static_cast<std::uint64_t>(i));
     const auto last = logits.row(logits.rows() - 1);
     int best = 0;
     float row_max = last[0];

@@ -26,7 +26,7 @@ CausalSelfAttention::CausalSelfAttention(const std::string& name,
   }
 }
 
-Matrix CausalSelfAttention::forward(const Matrix& x, bool training) {
+Matrix CausalSelfAttention::forward(const Matrix& x) {
   const std::int64_t t_len = x.rows();
   // The rel_bias table only covers offsets [0, max_seq); a longer
   // sequence would read past its row (silent garbage scores at best).
@@ -35,10 +35,11 @@ Matrix CausalSelfAttention::forward(const Matrix& x, bool training) {
         "attention[" + name_ + "]: sequence length " + std::to_string(t_len) +
         " exceeds max_seq " + std::to_string(max_seq_));
   }
-  Matrix qkv = qkv_.forward(x, training);  // [T x 3d]
+  qkv_cache_ = qkv_.forward(x);  // [T x 3d]
+  const Matrix& qkv = qkv_cache_;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
   Matrix concat(t_len, d_model_);
-  if (training) probs_cache_.assign(static_cast<std::size_t>(n_heads_), Matrix());
+  probs_cache_.assign(static_cast<std::size_t>(n_heads_), Matrix());
   // Heads are independent and write disjoint column slices of `concat`,
   // so they fan out over the pool as-is; the math per head is untouched,
   // making the result bit-identical to the sequential loop.
@@ -75,10 +76,9 @@ Matrix CausalSelfAttention::forward(const Matrix& x, bool training) {
         for (std::int64_t c = 0; c < d_head_; ++c) oi[q_off + c] += p * vj[v_off + c];
       }
     }
-    if (training) probs_cache_[static_cast<std::size_t>(h)] = std::move(probs);
+    probs_cache_[static_cast<std::size_t>(h)] = std::move(probs);
   });
-  if (training) qkv_cache_ = qkv;
-  return out_proj_.forward(concat, training);
+  return out_proj_.forward(concat);
 }
 
 Matrix CausalSelfAttention::forward_serve(const Matrix& x,

@@ -50,11 +50,12 @@ class CausalSelfAttention {
   std::int64_t d_model() const { return d_model_; }
   std::int64_t n_heads() const { return n_heads_; }
 
+  /// Training forward (caches QKV and the softmax rows for backward):
   /// x: [T x d_model] (one sequence) -> [T x d_model]. Throws
   /// std::invalid_argument (naming the layer and both lengths) when T
   /// exceeds max_seq — the relative-position bias table has no entry
   /// for larger offsets, and reading past it is undefined behavior.
-  Matrix forward(const Matrix& x, bool training = false);
+  Matrix forward(const Matrix& x);
   Matrix backward(const Matrix& dy);
 
   /// Incremental (KV-cached) forward, the only inference path: x is the

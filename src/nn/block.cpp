@@ -15,9 +15,9 @@ TransformerBlock::TransformerBlock(const std::string& name, NormKind norm_kind,
       norm2_(name + ".norm2", norm_kind, d_model, std::move(norm_gain)),
       mlp_(name + ".mlp", mlp_kind, d_model, d_ff, rng, init_std) {}
 
-Matrix TransformerBlock::forward(const Matrix& x, bool training) {
-  Matrix h = ops::add(x, attn_.forward(norm1_.forward(x, training), training));
-  return ops::add(h, mlp_.forward(norm2_.forward(h, training), training));
+Matrix TransformerBlock::forward(const Matrix& x) {
+  Matrix h = ops::add(x, attn_.forward(norm1_.forward(x, /*training=*/true)));
+  return ops::add(h, mlp_.forward(norm2_.forward(h, /*training=*/true)));
 }
 
 Matrix TransformerBlock::forward_serve(const Matrix& x,

@@ -18,7 +18,8 @@ class TransformerBlock {
                    std::int64_t max_seq, std::vector<float> norm_gain,
                    util::Rng& rng, float init_std);
 
-  Matrix forward(const Matrix& x, bool training = false);
+  /// Training forward (caches every sub-layer's inputs for backward).
+  Matrix forward(const Matrix& x);
   Matrix backward(const Matrix& dy);
   /// KV-cached batched serving forward over several sequences'
   /// segments (see CausalSelfAttention::forward_serve); norms and the

@@ -53,9 +53,19 @@ void Linear::record_timing(std::int64_t rows) const {
   trace->ops.push_back(std::move(op));
 }
 
-Matrix Linear::forward(const Matrix& x, bool training) {
+Matrix Linear::forward(const Matrix& x) {
+  if (analog_ || int8_) {
+    throw std::logic_error("Linear: cannot train through a quantized backend");
+  }
+  Matrix y = forward_keyed(x, {});
+  x_cache_ = x;
+  return y;
+}
+
+Matrix Linear::forward_keyed(const Matrix& x,
+                             std::span<const cim::StreamKey> keys) {
   if (x.cols() != in_dim()) {
-    throw std::invalid_argument("Linear::forward: input dim mismatch (" + name_ + ")");
+    throw std::invalid_argument("Linear: input dim mismatch (" + name_ + ")");
   }
   if (capture_input_) {
     // Per-column running abs-max. Columns are independent and max() is
@@ -76,38 +86,17 @@ Matrix Linear::forward(const Matrix& x, bool training) {
         /*grain=*/64);
   }
   if (capture_full_) {
-    Matrix grown(captured_inputs_.rows() + x.rows(), in_dim());
-    std::copy(captured_inputs_.data(),
-              captured_inputs_.data() + captured_inputs_.size(), grown.data());
-    std::copy(x.data(), x.data() + x.size(),
-              grown.data() + captured_inputs_.size());
-    captured_inputs_ = std::move(grown);
-  }
-  Matrix y = run_backend(x, nullptr);
-  if (training) {
-    if (analog_ || int8_) {
-      throw std::logic_error("Linear: cannot train through a quantized backend");
+    // Append in place; geometric growth keeps a long capture linear.
+    const std::int64_t r0 = captured_inputs_.rows();
+    if (r0 + x.rows() > captured_inputs_.row_capacity()) {
+      captured_inputs_.reserve_rows(std::max(2 * r0, r0 + x.rows()));
     }
-    x_cache_ = x;
+    captured_inputs_.resize_rows(r0 + x.rows());
+    std::copy(x.data(), x.data() + x.size(),
+              captured_inputs_.data() + r0 * x.cols());
   }
-  return y;
-}
-
-Matrix Linear::forward_keyed(const Matrix& x,
-                             std::span<const cim::StreamKey> keys) {
-  if (x.cols() != in_dim()) {
-    throw std::invalid_argument("Linear::forward_keyed: input dim mismatch (" +
-                                name_ + ")");
-  }
-  return run_backend(x, &keys);
-}
-
-Matrix Linear::run_backend(const Matrix& x,
-                           const std::span<const cim::StreamKey>* keys) {
   record_timing(x.rows());
-  Matrix y = analog_ && !digital_bypass_
-                 ? (keys != nullptr ? analog_->forward(x, *keys)
-                                    : analog_->forward(x))
+  Matrix y = analog_ && !digital_bypass_ ? analog_->forward(x, keys)
              : int8_ && !digital_bypass_
                  ? quant::int8_linear(x, w_.value, int8_s_, nullptr,
                                       int8_static_scale_)

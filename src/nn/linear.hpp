@@ -30,15 +30,16 @@ class Linear {
   std::int64_t out_dim() const { return w_.value.cols(); }
   bool is_analog() const { return analog_ != nullptr; }
 
-  /// x: [T x in] -> [T x out]. training=true caches x for backward
-  /// (digital backend only).
-  Matrix forward(const Matrix& x, bool training = false);
+  /// Training forward: forward_keyed on the fp32 GEMM, caching x for
+  /// backward. Throws std::logic_error on an analog or INT8 backend.
+  Matrix forward(const Matrix& x);
 
-  /// Inference forward with explicit per-row noise-stream keys (see
-  /// cim::StreamKey): the serving layer keys each row on its request's
-  /// stream and request-local position so results do not depend on
-  /// batch composition. Digital and INT8 backends are row-wise
-  /// deterministic and ignore the keys. Never captures or caches.
+  /// x: [T x in] -> [T x out], with explicit per-row noise-stream keys
+  /// (see cim::StreamKey): the serving layer keys each row on its
+  /// request's stream and request-local position so results do not
+  /// depend on batch composition. Digital and INT8 backends are row-wise
+  /// deterministic and ignore the keys. Runs the calibration captures,
+  /// traces the op, then the analog, INT8 or fp32 GEMM plus the bias.
   Matrix forward_keyed(const Matrix& x, std::span<const cim::StreamKey> keys);
 
   /// Backprop; accumulates dW/db, returns dX. Digital backend only.
@@ -75,11 +76,11 @@ class Linear {
   bool digital_bypass() const { return digital_bypass_; }
 
   // --- calibration hooks (used by the NORA calibration pass) ---
-  /// While enabled, digital forwards accumulate per-input-channel
+  /// While enabled, every forward accumulates per-input-channel
   /// max|x_k| into input_abs_max().
   void set_capture_input(bool on);
   std::span<const float> input_abs_max() const { return input_abs_max_; }
-  /// While enabled, digital forwards also append full input rows (for
+  /// While enabled, every forward also appends its full input rows (for
   /// distribution analytics: Fig. 4 KDE, Fig. 6 kurtosis).
   void set_capture_full(bool on);
   const Matrix& captured_inputs() const { return captured_inputs_; }
@@ -95,11 +96,6 @@ class Linear {
   /// Append this pass's shape metadata to the thread-local timing trace
   /// (no-op when tracing is off — the timing.enabled=false fast path).
   void record_timing(std::int64_t rows) const;
-  /// The backend dispatch both forwards share: trace the op, run the
-  /// analog (keyed when `keys` is set, else by call index), INT8 or fp32
-  /// GEMM, add the bias.
-  Matrix run_backend(const Matrix& x,
-                     const std::span<const cim::StreamKey>* keys);
 
   std::string name_;
   Param w_;  // [in x out]

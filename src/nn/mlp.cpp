@@ -16,23 +16,20 @@ Mlp::Mlp(const std::string& name, MlpKind kind, std::int64_t d_model,
   }
 }
 
-Matrix Mlp::forward(const Matrix& x, bool training) {
-  Matrix u = up_.forward(x, training);
+Matrix Mlp::forward(const Matrix& x) {
+  up_cache_ = up_.forward(x);
+  const Matrix& u = up_cache_;
   Matrix h(u.rows(), u.cols());
   if (kind_ == MlpKind::kGelu) {
-    if (training) up_cache_ = u;
     for (std::int64_t i = 0; i < u.size(); ++i) h.data()[i] = gelu(u.data()[i]);
   } else {
-    Matrix g = gate_->forward(x, training);
-    if (training) {
-      up_cache_ = u;
-      gate_cache_ = g;
-    }
+    gate_cache_ = gate_->forward(x);
+    const Matrix& g = gate_cache_;
     for (std::int64_t i = 0; i < u.size(); ++i) {
       h.data()[i] = silu(g.data()[i]) * u.data()[i];
     }
   }
-  return down_.forward(h, training);
+  return down_.forward(h);
 }
 
 Matrix Mlp::forward_keyed(const Matrix& x,

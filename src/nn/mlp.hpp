@@ -21,7 +21,8 @@ class Mlp {
 
   MlpKind kind() const { return kind_; }
 
-  Matrix forward(const Matrix& x, bool training = false);
+  /// Training forward (caches the pre-activations for backward).
+  Matrix forward(const Matrix& x);
   /// Inference forward with per-row noise-stream keys (serving path);
   /// activations are elementwise, so only the projections care.
   Matrix forward_keyed(const Matrix& x, std::span<const cim::StreamKey> keys);

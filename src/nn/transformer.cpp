@@ -80,7 +80,7 @@ TransformerLM::TransformerLM(TransformerConfig cfg)
   }
 }
 
-Matrix TransformerLM::forward(std::span<const int> tokens, bool training) {
+Matrix TransformerLM::forward(std::span<const int> tokens) {
   const std::int64_t t_len = static_cast<std::int64_t>(tokens.size());
   if (t_len == 0 || t_len > cfg_.max_seq) {
     throw std::invalid_argument("TransformerLM::forward: bad sequence length");
@@ -96,10 +96,10 @@ Matrix TransformerLM::forward(std::span<const int> tokens, bool training) {
     const auto pr = pos_emb_.value.row(t);
     for (std::int64_t c = 0; c < cfg_.d_model; ++c) xr[c] = er[c] + pr[c];
   }
-  if (training) tokens_cache_.assign(tokens.begin(), tokens.end());
-  for (auto& block : blocks_) x = block.forward(x, training);
-  x = final_norm_.forward(x, training);
-  return lm_head_.forward(x, training);
+  tokens_cache_.assign(tokens.begin(), tokens.end());
+  for (auto& block : blocks_) x = block.forward(x);
+  x = final_norm_.forward(x, /*training=*/true);
+  return lm_head_.forward(x);
 }
 
 void TransformerLM::backward(const Matrix& dlogits) {
@@ -211,6 +211,12 @@ Matrix TransformerLM::forward_serve(std::span<const ServeSegment> segments) {
   return lm_head_.forward_keyed(x, keys);
 }
 
+Matrix TransformerLM::infer(std::span<const int> tokens, std::uint64_t stream) {
+  KvCache cache;
+  const ServeSegment seg{tokens, &cache, stream};
+  return forward_serve({&seg, 1});
+}
+
 std::vector<int> TransformerLM::generate(std::span<const int> prompt,
                                          int max_new_tokens) {
   if (prompt.empty()) throw std::invalid_argument("generate: empty prompt");
@@ -231,10 +237,6 @@ std::vector<int> TransformerLM::generate(std::span<const int> prompt,
     seg.tokens = {&out.back(), 1};
   }
   return out;
-}
-
-int TransformerLM::predict_next(std::span<const int> tokens) {
-  return argmax_last(forward(tokens, /*training=*/false));
 }
 
 ParamRefs TransformerLM::collect_params() {

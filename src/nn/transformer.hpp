@@ -48,14 +48,18 @@ class TransformerLM {
 
   const TransformerConfig& config() const { return cfg_; }
 
-  /// tokens: one sequence of ids in [0, vocab). Returns logits [T x V].
-  Matrix forward(std::span<const int> tokens, bool training = false);
+  /// Training forward over one sequence of ids in [0, vocab), caching
+  /// every layer's inputs for backward(). Returns logits [T x V]. Digital
+  /// model only: a linear layer on a quantized backend throws.
+  Matrix forward(std::span<const int> tokens);
 
   /// dlogits: [T x V]; accumulates all parameter gradients.
   void backward(const Matrix& dlogits);
 
-  /// Greedy argmax of the last position's logits.
-  int predict_next(std::span<const int> tokens);
+  /// Inference over one sequence: logits [T x V] of a single-segment
+  /// forward_serve on a fresh cache, on noise stream `stream` — the bits
+  /// a request with these tokens as its prompt gets on that stream.
+  Matrix infer(std::span<const int> tokens, std::uint64_t stream = 0);
 
   /// One request's slice of a batched serving step.
   struct ServeSegment {

@@ -34,7 +34,7 @@ TrainReport train_lm(nn::TransformerLM& model, const eval::SynthLambada& task,
     double batch_loss = 0.0;
     for (int b = 0; b < cfg.batch_size; ++b) {
       const auto ex = task.make_example("train", rng.next_u64() % (1ull << 48));
-      const Matrix logits = model.forward(ex.tokens, /*training=*/true);
+      const Matrix logits = model.forward(ex.tokens);
       LossResult res = softmax_cross_entropy(logits, ex.targets, ex.weights);
       // Average the gradient over the batch.
       ops::scale_inplace(res.dlogits, 1.0f / cfg.batch_size);

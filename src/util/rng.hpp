@@ -23,7 +23,7 @@ std::uint64_t derive_seed(std::uint64_t parent, std::string_view label);
 /// seed plus up to three 64-bit work-item coordinates onto an
 /// independent child seed, statelessly. This is what makes the parallel
 /// analog forward bit-identical for any thread count: every
-/// (epoch, token, row-block/tile) work item seeds its own Rng from its
+/// (stream, token, row-block/tile) work item seeds its own Rng from its
 /// coordinates instead of consuming a shared sequential stream.
 std::uint64_t derive_stream(std::uint64_t base, std::uint64_t a,
                             std::uint64_t b = 0, std::uint64_t c = 0);

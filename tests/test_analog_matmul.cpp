@@ -31,7 +31,7 @@ TEST(AnalogMatmul, IdealEqualsDigital) {
   const Matrix w = random_matrix(100, 60, 1);
   const Matrix x = random_matrix(7, 100, 2, 1.0f);
   AnalogMatmul unit(w, {}, TileConfig::ideal(), 3);
-  const Matrix y = unit.forward(x);
+  const Matrix y = unit.forward(x, stream_keys(0, x.rows()));
   const Matrix ref = ops::matmul(x, w);
   const double rel = std::sqrt(ops::mse(y, ref)) /
                      (ops::frobenius_norm(ref) / std::sqrt(double(ref.size())));
@@ -45,7 +45,7 @@ TEST(AnalogMatmul, NoraRescaleIsExactAtZeroNoise) {
   const Matrix ref = ops::matmul(x, w);
   for (const std::uint64_t s_seed : {10u, 11u, 12u}) {
     AnalogMatmul unit(w, random_s(80, s_seed), TileConfig::ideal(), 6);
-    const Matrix y = unit.forward(x);
+    const Matrix y = unit.forward(x, stream_keys(0, x.rows()));
     const double rel = std::sqrt(ops::mse(y, ref)) /
                        (ops::frobenius_norm(ref) / std::sqrt(double(ref.size())));
     EXPECT_LT(rel, 1e-4) << "s_seed " << s_seed;
@@ -61,8 +61,9 @@ TEST(AnalogMatmul, TilePartitioningIsInvariantAtZeroNoise) {
   TileConfig small = TileConfig::ideal();
   small.tile_rows = 32;
   small.tile_cols = 16;
-  const Matrix y_big = AnalogMatmul(w, {}, big, 9).forward(x);
-  const Matrix y_small = AnalogMatmul(w, {}, small, 9).forward(x);
+  const auto keys = stream_keys(0, x.rows());
+  const Matrix y_big = AnalogMatmul(w, {}, big, 9).forward(x, keys);
+  const Matrix y_small = AnalogMatmul(w, {}, small, 9).forward(x, keys);
   EXPECT_LT(ops::mse(y_big, y_small), 1e-8);
 }
 
@@ -79,14 +80,17 @@ TEST(AnalogMatmul, QuantizationErrorShrinksUnderNoraForOutlierInputs) {
   TileConfig cfg = TileConfig::ideal();
   cfg.dac_bits = 7;
   cfg.adc_bits = 7;
-  const double mse_naive = ops::mse(AnalogMatmul(w, {}, cfg, 12).forward(x), ref);
+  const auto keys = stream_keys(0, x.rows());
+  const double mse_naive =
+      ops::mse(AnalogMatmul(w, {}, cfg, 12).forward(x, keys), ref);
   const auto ax = ops::col_abs_max(x);
   const auto wx = ops::row_abs_max(w);
   std::vector<float> s(static_cast<std::size_t>(k), 1.0f);
   for (std::size_t i = 0; i < s.size(); ++i) {
     s[i] = std::sqrt(ax[i] / std::max(wx[i], 1e-6f));
   }
-  const double mse_nora = ops::mse(AnalogMatmul(w, s, cfg, 12).forward(x), ref);
+  const double mse_nora =
+      ops::mse(AnalogMatmul(w, s, cfg, 12).forward(x, keys), ref);
   EXPECT_LT(mse_nora, 0.5 * mse_naive);
 }
 
@@ -103,8 +107,8 @@ TEST(AnalogMatmul, AlphaGammaShrinksUnderNora) {
   }
   AnalogMatmul naive(w, {}, TileConfig::ideal(), 15);
   AnalogMatmul nora(w, s, TileConfig::ideal(), 15);
-  naive.forward(x);
-  nora.forward(x);
+  naive.forward(x, stream_keys(0, x.rows()));
+  nora.forward(x, stream_keys(0, x.rows()));
   EXPECT_LT(nora.mean_alpha_gamma_gmax(), naive.mean_alpha_gamma_gmax());
 }
 
@@ -116,19 +120,19 @@ TEST(AnalogMatmul, InputScalingPolicies) {
   none_cfg.dac_bits = 7;
   none_cfg.scaling = InputScaling::kNone;
   AnalogMatmul none(w, {}, none_cfg, 18);
-  none.forward(x);
+  none.forward(x, stream_keys(0, x.rows()));
   EXPECT_GT(none.stats().dac_clipped, 0);
   // kAbsMax never clips.
   TileConfig abs_cfg = none_cfg;
   abs_cfg.scaling = InputScaling::kAbsMax;
   AnalogMatmul absmax(w, {}, abs_cfg, 18);
-  absmax.forward(x);
+  absmax.forward(x, stream_keys(0, x.rows()));
   EXPECT_EQ(absmax.stats().dac_clipped, 0);
   // kAvgAbsMax clips only the above-average rows.
   TileConfig avg_cfg = none_cfg;
   avg_cfg.scaling = InputScaling::kAvgAbsMax;
   AnalogMatmul avg(w, {}, avg_cfg, 18);
-  avg.forward(x);
+  avg.forward(x, stream_keys(0, x.rows()));
   EXPECT_GT(avg.stats().dac_clipped, 0);
   EXPECT_LT(avg.stats().dac_clipped, none.stats().dac_clipped);
 }
@@ -145,13 +149,13 @@ TEST(AnalogMatmul, BoundManagementResolvesSaturation) {
   cfg.adc_bound = 12.0f;  // |sum| = 64*0.9*0.7 normalized ~ 44 >> 12
   const Matrix ref = ops::matmul(x, w);
   AnalogMatmul no_bm(w, {}, cfg, 19);
-  const Matrix y_clipped = no_bm.forward(x);
+  const Matrix y_clipped = no_bm.forward(x, stream_keys(0, x.rows()));
   EXPECT_GT(std::fabs(y_clipped.at(0, 0) - ref.at(0, 0)), 1.0f);
   TileConfig bm_cfg = cfg;
   bm_cfg.bound_management = true;
   bm_cfg.bm_max_iters = 4;
   AnalogMatmul bm(w, {}, bm_cfg, 19);
-  const Matrix y_bm = bm.forward(x);
+  const Matrix y_bm = bm.forward(x, stream_keys(0, x.rows()));
   EXPECT_GT(bm.stats().bm_retries, 0);
   EXPECT_NEAR(y_bm.at(0, 0), ref.at(0, 0), 0.05f * std::fabs(ref.at(0, 0)));
 }
@@ -173,7 +177,7 @@ TEST(AnalogMatmul, DacStatsCountOnlyAcceptedPassUnderBoundManagement) {
   cfg.bound_management = true;
   cfg.bm_max_iters = 4;
   AnalogMatmul unit(w, {}, cfg, 19);
-  unit.forward(x);
+  unit.forward(x, stream_keys(0, x.rows()));
   EXPECT_GT(unit.stats().bm_retries, 0);
   // 3 tokens x 64 inputs, regardless of how many bound-management
   // attempts each token needed.
@@ -188,10 +192,11 @@ TEST(AnalogMatmul, DeterministicForwardGivenSeed) {
   const Matrix w = random_matrix(48, 48, 20);
   const Matrix x = random_matrix(4, 48, 21, 1.0f);
   const TileConfig cfg;  // full Table II noise
-  const Matrix y1 = AnalogMatmul(w, {}, cfg, 22).forward(x);
-  const Matrix y2 = AnalogMatmul(w, {}, cfg, 22).forward(x);
+  const auto keys = stream_keys(0, x.rows());
+  const Matrix y1 = AnalogMatmul(w, {}, cfg, 22).forward(x, keys);
+  const Matrix y2 = AnalogMatmul(w, {}, cfg, 22).forward(x, keys);
   EXPECT_EQ(0.0, ops::mse(y1, y2));
-  const Matrix y3 = AnalogMatmul(w, {}, cfg, 23).forward(x);
+  const Matrix y3 = AnalogMatmul(w, {}, cfg, 23).forward(x, keys);
   EXPECT_GT(ops::mse(y1, y3), 0.0);
 }
 
@@ -207,7 +212,8 @@ TEST(AnalogMatmul, ValidatesArguments) {
   EXPECT_THROW(AnalogMatmul(w, bad_s, TileConfig::ideal(), 1),
                std::invalid_argument);
   AnalogMatmul unit(w, {}, TileConfig::ideal(), 1);
-  EXPECT_THROW(unit.forward(Matrix(2, 4)), std::invalid_argument);
+  EXPECT_THROW(unit.forward(Matrix(2, 4), stream_keys(0, 2)),
+               std::invalid_argument);
 }
 
 TEST(AnalogMatmul, StatsAccumulateAndReset) {
@@ -216,7 +222,7 @@ TEST(AnalogMatmul, StatsAccumulateAndReset) {
   TileConfig cfg = TileConfig::ideal();
   cfg.dac_bits = 7;
   AnalogMatmul unit(w, {}, cfg, 27);
-  unit.forward(x);
+  unit.forward(x, stream_keys(0, x.rows()));
   EXPECT_EQ(unit.stats().alpha_count, 3);
   EXPECT_EQ(unit.stats().dac_samples, 3 * 16);
   EXPECT_GT(unit.mean_alpha(), 0.0);
@@ -230,7 +236,7 @@ TEST(AnalogMatmul, StatsAccumulateAndReset) {
   adc_cfg.adc_bits = 7;
   adc_cfg.adc_bound = 0.25f;  // tight full scale: guarantees saturations
   AnalogMatmul sat(w, {}, adc_cfg, 28);
-  sat.forward(x);
+  sat.forward(x, stream_keys(0, x.rows()));
   EXPECT_EQ(sat.adc_reads(), 3 * 8);
   EXPECT_GT(sat.adc_saturations(), 0);
   EXPECT_GT(sat.adc_saturation_rate(), 0.0);

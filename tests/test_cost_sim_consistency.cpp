@@ -26,7 +26,7 @@ TEST(CostSimConsistency, ConversionCountsMatchSimulator) {
   cfg.bound_management = false;
 
   cim::AnalogMatmul unit(w, {}, cfg, 2);
-  unit.forward(x);
+  unit.forward(x, cim::stream_keys(0, x.rows()));
 
   // Cost model's implied conversion counts.
   const cost::DeviceCosts d;
@@ -59,7 +59,7 @@ TEST(CostSimConsistency, BoundManagementAddsReads) {
   cfg.bound_management = true;
   cfg.bm_max_iters = 4;
   cim::AnalogMatmul unit(w, {}, cfg, 3);
-  unit.forward(x);
+  unit.forward(x, cim::stream_keys(0, x.rows()));
   EXPECT_GT(unit.stats().bm_retries, 0);
   EXPECT_GT(unit.adc_reads(), 2 * 4);  // more than one pass per token
 }

@@ -51,11 +51,12 @@ TEST(WriteVerify, ImprovesGemmAccuracy) {
   const Matrix w = random_matrix(64, 32, 3, 0.2f);
   const Matrix x = random_matrix(8, 64, 4, 1.0f);
   const Matrix ref = ops::matmul(x, w);
+  const auto keys = stream_keys(0, x.rows());
   TileConfig cfg = TileConfig::ideal_except_prog_noise(4.0f);
   cfg.write_verify_iters = 1;
-  const double mse1 = ops::mse(AnalogMatmul(w, {}, cfg, 5).forward(x), ref);
+  const double mse1 = ops::mse(AnalogMatmul(w, {}, cfg, 5).forward(x, keys), ref);
   cfg.write_verify_iters = 8;
-  const double mse8 = ops::mse(AnalogMatmul(w, {}, cfg, 5).forward(x), ref);
+  const double mse8 = ops::mse(AnalogMatmul(w, {}, cfg, 5).forward(x, keys), ref);
   EXPECT_LT(mse8, 0.5 * mse1);
 }
 
@@ -65,12 +66,13 @@ TEST(Reram, QuantizedWeightsBoundedError) {
   const Matrix w = random_matrix(32, 16, 6, 0.2f);
   const Matrix x = random_matrix(4, 32, 7, 1.0f);
   const Matrix ref = ops::matmul(x, w);
+  const auto keys = stream_keys(0, x.rows());
   TileConfig cfg = TileConfig::ideal();
   cfg.device = DeviceKind::kReramQuantized;
   cfg.reram_bits_per_cell = 4;
   for (const int cells : {1, 2, 3}) {
     cfg.reram_cells_per_weight = cells;
-    const double mse = ops::mse(AnalogMatmul(w, {}, cfg, 8).forward(x), ref);
+    const double mse = ops::mse(AnalogMatmul(w, {}, cfg, 8).forward(x, keys), ref);
     if (cells == 1) {
       EXPECT_GT(mse, 1e-5);  // 4-bit weights visibly wrong
     } else {
@@ -83,13 +85,14 @@ TEST(Reram, ErrorDecreasesWithCells) {
   const Matrix w = random_matrix(48, 24, 9, 0.2f);
   const Matrix x = random_matrix(4, 48, 10, 1.0f);
   const Matrix ref = ops::matmul(x, w);
+  const auto keys = stream_keys(0, x.rows());
   TileConfig cfg = TileConfig::ideal();
   cfg.device = DeviceKind::kReramQuantized;
   cfg.reram_bits_per_cell = 4;
   double prev = 1e9;
   for (const int cells : {1, 2, 3}) {
     cfg.reram_cells_per_weight = cells;
-    const double mse = ops::mse(AnalogMatmul(w, {}, cfg, 11).forward(x), ref);
+    const double mse = ops::mse(AnalogMatmul(w, {}, cfg, 11).forward(x, keys), ref);
     EXPECT_LT(mse, prev);
     prev = mse;
   }
@@ -114,20 +117,23 @@ TEST(Reram, NoraRescaleStillWorksOnQuantizedDevices) {
   Matrix x = random_matrix(8, k, 15, 1.0f);
   for (std::int64_t r = 0; r < x.rows(); ++r) x.at(r, 2) *= 30.0f;
   const Matrix ref = ops::matmul(x, w);
+  const auto keys = stream_keys(0, x.rows());
   TileConfig cfg = TileConfig::ideal();
   cfg.device = DeviceKind::kReramQuantized;
   cfg.reram_bits_per_cell = 4;
   cfg.reram_cells_per_weight = 2;
   cfg.dac_bits = 7;
   cfg.adc_bits = 7;
-  const double mse_naive = ops::mse(AnalogMatmul(w, {}, cfg, 16).forward(x), ref);
+  const double mse_naive =
+      ops::mse(AnalogMatmul(w, {}, cfg, 16).forward(x, keys), ref);
   const auto ax = ops::col_abs_max(x);
   const auto wx = ops::row_abs_max(w);
   std::vector<float> s(static_cast<std::size_t>(k), 1.0f);
   for (std::size_t i = 0; i < s.size(); ++i) {
     s[i] = std::sqrt(ax[i] / std::max(wx[i], 1e-6f));
   }
-  const double mse_nora = ops::mse(AnalogMatmul(w, s, cfg, 16).forward(x), ref);
+  const double mse_nora =
+      ops::mse(AnalogMatmul(w, s, cfg, 16).forward(x, keys), ref);
   EXPECT_LT(mse_nora, 0.5 * mse_naive);
 }
 

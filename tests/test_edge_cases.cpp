@@ -18,7 +18,7 @@ TEST(EdgeCases, ZeroInputThroughNoisyTileStaysSmall) {
   w.fill_gaussian(rng, 0.5f);
   cim::AnalogMatmul unit(w, {}, cim::TileConfig::paper_table2(), 2);
   Matrix x(4, 32);  // all zeros
-  const Matrix y = unit.forward(x);
+  const Matrix y = unit.forward(x, cim::stream_keys(0, x.rows()));
   // alpha guards to 1; only additive noise remains, bounded by
   // alpha * gamma * (out_noise + ADC step), far below signal scale.
   for (std::int64_t i = 0; i < y.size(); ++i) {
@@ -38,10 +38,10 @@ TEST(EdgeCases, SingleRowAndSingleColumnWeights) {
   Matrix x8(2, 8);
   x8.fill_gaussian(rng, 1.0f);
   const Matrix y1 = cim::AnalogMatmul(w_row, {}, cim::TileConfig::ideal(), 4)
-                        .forward(x1);
+                        .forward(x1, cim::stream_keys(0, x1.rows()));
   EXPECT_LT(ops::mse(y1, ops::matmul(x1, w_row)), 1e-8);
   const Matrix y2 = cim::AnalogMatmul(w_col, {}, cim::TileConfig::ideal(), 5)
-                        .forward(x8);
+                        .forward(x8, cim::stream_keys(0, x8.rows()));
   EXPECT_LT(ops::mse(y2, ops::matmul(x8, w_col)), 1e-8);
 }
 
@@ -52,7 +52,7 @@ TEST(EdgeCases, HugeInputsStayFiniteAtTable2) {
   cim::AnalogMatmul unit(w, {}, cim::TileConfig::paper_table2(), 7);
   Matrix x(2, 16);
   x.fill(1e6f);
-  const Matrix y = unit.forward(x);
+  const Matrix y = unit.forward(x, cim::stream_keys(0, x.rows()));
   for (std::int64_t i = 0; i < y.size(); ++i) {
     ASSERT_TRUE(std::isfinite(y.data()[i]));
   }
@@ -108,8 +108,9 @@ TEST(EdgeCases, TileLargerThanMatrix) {
   cim::TileConfig snug = cim::TileConfig::ideal();
   snug.tile_rows = 8;
   snug.tile_cols = 4;
-  const Matrix y_big = cim::AnalogMatmul(w, {}, big, 9).forward(x);
-  const Matrix y_snug = cim::AnalogMatmul(w, {}, snug, 9).forward(x);
+  const auto keys = cim::stream_keys(0, x.rows());
+  const Matrix y_big = cim::AnalogMatmul(w, {}, big, 9).forward(x, keys);
+  const Matrix y_snug = cim::AnalogMatmul(w, {}, snug, 9).forward(x, keys);
   EXPECT_LT(ops::mse(y_big, y_snug), 1e-10);
 }
 

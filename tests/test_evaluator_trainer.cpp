@@ -1,6 +1,7 @@
 // Tests for the evaluator and the training loop.
 #include <gtest/gtest.h>
 
+#include "core/nora.hpp"
 #include "eval/evaluator.hpp"
 #include "train/trainer.hpp"
 
@@ -52,6 +53,16 @@ TEST(Evaluator, DeterministicAcrossCalls) {
   const auto b = eval::evaluate(model, task, eo);
   EXPECT_EQ(a.accuracy, b.accuracy);
   EXPECT_EQ(a.avg_loss, b.avg_loss);
+  // On a noisy analog deployment too: example i is scored on noise
+  // stream i, so evaluating one deployment twice draws the same noise.
+  core::DeployOptions opts;
+  opts.tile = cim::TileConfig::paper_table2();
+  core::deploy_analog(model, task, opts);
+  const auto c = eval::evaluate(model, task, eo);
+  const auto d = eval::evaluate(model, task, eo);
+  EXPECT_NE(c.avg_loss, a.avg_loss);  // the noise is really there
+  EXPECT_EQ(c.accuracy, d.accuracy);
+  EXPECT_EQ(c.avg_loss, d.avg_loss);
 }
 
 TEST(Evaluator, ZeroExamplesIsEmptyResult) {

@@ -93,8 +93,8 @@ TEST(FaultMap, TileYieldKillsWholeTile) {
 // subsystem. Values captured after the one-time runtime-stream relayout
 // (counter-keyed per-work-item RNG streams, see DESIGN.md "Threading &
 // RNG streams"); Table II config, 32x24 tile grid, seed 4242. Two
-// consecutive forwards check that the forward-epoch counter advances
-// (fresh noise per call) exactly as the old sequential stream did.
+// forwards on streams 0 and 1 check that a fresh stream draws fresh
+// noise exactly as the old sequential stream did.
 TEST(FaultFreeRegression, BitIdenticalToSeedBuild) {
   const Matrix w = random_matrix(70, 50, 101);
   const Matrix x = random_matrix(5, 70, 202, 1.0f);
@@ -102,8 +102,8 @@ TEST(FaultFreeRegression, BitIdenticalToSeedBuild) {
   cfg.tile_rows = 32;
   cfg.tile_cols = 24;
   cim::AnalogMatmul unit(w, {}, cfg, 4242);
-  const Matrix y = unit.forward(x);
-  const Matrix y2 = unit.forward(x);
+  const Matrix y = unit.forward(x, cim::stream_keys(0, x.rows()));
+  const Matrix y2 = unit.forward(x, cim::stream_keys(1, x.rows()));
   const struct { int t, j; float first, second; } golden[] = {
       {0, 0, 6.54166842f, 6.70757914f},   {0, 17, 5.7183094f, 5.7183094f},
       {0, 49, 3.99117732f, 4.56156254f},  {2, 0, 2.61159039f, 2.25431633f},
@@ -127,7 +127,7 @@ TEST(FaultFreeRegression, NoraPathBitIdenticalToSeedBuild) {
   cfg.tile_rows = 32;
   cfg.tile_cols = 24;
   cim::AnalogMatmul unit(w, s, cfg, 4242);
-  const Matrix y = unit.forward(x);
+  const Matrix y = unit.forward(x, cim::stream_keys(0, x.rows()));
   const struct { int t, j; float v; } golden[] = {
       {1, 5, 6.26226425f}, {1, 33, 3.6862278f},
       {3, 5, -6.56141138f}, {3, 33, 2.44109011f},
@@ -141,12 +141,13 @@ TEST(FaultInjection, StuckFaultsDegradeOutputMonotonically) {
   const Matrix w = random_matrix(96, 64, 31);
   const Matrix x = random_matrix(8, 96, 32, 1.0f);
   const Matrix ref = ops::matmul(x, w);
+  const auto keys = cim::stream_keys(0, x.rows());
   double prev = -1.0;
   for (const double rate : {0.0, 0.01, 0.05, 0.2}) {
     cim::TileConfig cfg = cim::TileConfig::ideal();
     cfg.faults.stuck_zero_rate = static_cast<float>(rate);
     cim::AnalogMatmul unit(w, {}, cfg, 33);
-    const double err = rel_error(unit.forward(x), ref);
+    const double err = rel_error(unit.forward(x, keys), ref);
     EXPECT_GT(err, prev) << "rate " << rate;
     prev = err;
   }
@@ -158,9 +159,9 @@ TEST(FaultInjection, StuckFaultsDegradeOutputMonotonically) {
   cim::TileConfig gmax_cfg = cim::TileConfig::ideal();
   gmax_cfg.faults.stuck_gmax_rate = 0.05f;
   const double err_zero =
-      rel_error(cim::AnalogMatmul(w, {}, zero_cfg, 34).forward(x), ref);
+      rel_error(cim::AnalogMatmul(w, {}, zero_cfg, 34).forward(x, keys), ref);
   const double err_gmax =
-      rel_error(cim::AnalogMatmul(w, {}, gmax_cfg, 34).forward(x), ref);
+      rel_error(cim::AnalogMatmul(w, {}, gmax_cfg, 34).forward(x, keys), ref);
   EXPECT_GT(err_gmax, err_zero);
 }
 
@@ -168,10 +169,11 @@ TEST(FaultRepair, SpareColumnsRemapDeadBitlines) {
   const Matrix w = random_matrix(64, 48, 41);
   const Matrix x = random_matrix(6, 64, 42, 1.0f);
   const Matrix ref = ops::matmul(x, w);
+  const auto keys = cim::stream_keys(0, x.rows());
   cim::TileConfig cfg = cim::TileConfig::ideal();
   cfg.faults.dead_col_rate = 0.25f;
   cim::AnalogMatmul broken(w, {}, cfg, 43);
-  const double err_broken = rel_error(broken.forward(x), ref);
+  const double err_broken = rel_error(broken.forward(x, keys), ref);
   EXPECT_EQ(broken.fault_stats().cols_remapped, 0);
   EXPECT_GT(err_broken, 0.1);
 
@@ -182,7 +184,7 @@ TEST(FaultRepair, SpareColumnsRemapDeadBitlines) {
   EXPECT_GT(stats.cols_remapped, 0);
   EXPECT_LT(stats.residual_fault_fraction(),
             stats.raw_fault_fraction());
-  const double err_repaired = rel_error(repaired.forward(x), ref);
+  const double err_repaired = rel_error(repaired.forward(x, keys), ref);
   EXPECT_LT(err_repaired, 0.5 * err_broken);
 }
 
@@ -190,11 +192,12 @@ TEST(FaultRepair, ProgramVerifyRetryShrinksProgrammingError) {
   const Matrix w = random_matrix(80, 40, 51);
   const Matrix x = random_matrix(6, 80, 52, 1.0f);
   const Matrix ref = ops::matmul(x, w);
+  const auto keys = cim::stream_keys(0, x.rows());
   cim::TileConfig cfg = cim::TileConfig::ideal();
   cfg.prog_noise_scale = 6.0f;  // exaggerated single-shot error
   cfg.program_tolerance = 0.01f;
   cim::AnalogMatmul one_shot(w, {}, cfg, 53);
-  const double err_one_shot = rel_error(one_shot.forward(x), ref);
+  const double err_one_shot = rel_error(one_shot.forward(x, keys), ref);
   EXPECT_EQ(one_shot.fault_stats().reprogram_devices, 0);
 
   cim::TileConfig retry_cfg = cfg;
@@ -203,7 +206,7 @@ TEST(FaultRepair, ProgramVerifyRetryShrinksProgrammingError) {
   const auto stats = retried.fault_stats();
   EXPECT_GT(stats.reprogram_devices, 0);
   EXPECT_GE(stats.reprogram_rounds, stats.reprogram_devices);
-  const double err_retried = rel_error(retried.forward(x), ref);
+  const double err_retried = rel_error(retried.forward(x, keys), ref);
   EXPECT_LT(err_retried, 0.5 * err_one_shot);
 }
 
@@ -238,8 +241,9 @@ TEST(FaultStats, SpareColumnsShrinkLogicalTileCapacity) {
   cim::TileConfig spared = plain;
   spared.spare_cols = 8;
   const Matrix x = random_matrix(4, 40, 73, 1.0f);
-  const Matrix y_plain = cim::AnalogMatmul(w, {}, plain, 74).forward(x);
-  const Matrix y_spared = cim::AnalogMatmul(w, {}, spared, 74).forward(x);
+  const auto keys = cim::stream_keys(0, x.rows());
+  const Matrix y_plain = cim::AnalogMatmul(w, {}, plain, 74).forward(x, keys);
+  const Matrix y_spared = cim::AnalogMatmul(w, {}, spared, 74).forward(x, keys);
   EXPECT_LT(ops::mse(y_plain, y_spared), 1e-10);
 }
 
@@ -251,10 +255,10 @@ TEST(NonFiniteGuard, NamesLayerTokenAndColumn) {
   unit.set_label("blk0.mlp.up");
   Matrix x(3, 16);
   x.fill(0.25f);
-  EXPECT_NO_THROW(unit.forward(x));
+  EXPECT_NO_THROW(unit.forward(x, cim::stream_keys(0, x.rows())));
   x.at(1, 4) = std::numeric_limits<float>::quiet_NaN();
   try {
-    unit.forward(x);
+    unit.forward(x, cim::stream_keys(1, x.rows()));
     FAIL() << "expected non-finite guard to throw";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -423,7 +427,11 @@ TEST_F(FaultDeployTest, HealthProbeLeavesNoRngTrace) {
   core::DeployOptions plain;
   plain.tile = cim::TileConfig::paper_table2();
   core::deploy_analog(model, task, plain);
-  const Matrix y_plain = model.forward(ex.tokens);
+  const Matrix y_plain = model.infer(ex.tokens);
+  std::vector<std::int64_t> reads_plain;
+  for (nn::Linear* lin : model.linear_layers()) {
+    reads_plain.push_back(lin->is_analog() ? lin->analog()->adc_reads() : -1);
+  }
 
   model.to_digital();
   core::DeployOptions probed = plain;
@@ -431,11 +439,17 @@ TEST_F(FaultDeployTest, HealthProbeLeavesNoRngTrace) {
   faults::DeploymentReport report;
   core::deploy_analog(model, task, probed, &report);
   EXPECT_EQ(report.digital_fallbacks(), 0);
-  const Matrix y_probed = model.forward(ex.tokens);
+  const Matrix y_probed = model.infer(ex.tokens);
+  std::vector<std::int64_t> reads_probed;
+  for (nn::Linear* lin : model.linear_layers()) {
+    reads_probed.push_back(lin->is_analog() ? lin->analog()->adc_reads() : -1);
+  }
   model.to_digital();
-  // Survivors are re-programmed from their original seeds, so health
-  // checking must not perturb the deployed noise streams at all.
+  // Noise is keyed by stream, never by call history, and deploy clears
+  // the probe's statistics, so health checking must perturb neither the
+  // deployed outputs nor the counters read after them.
   EXPECT_EQ(ops::mse(y_plain, y_probed), 0.0);
+  EXPECT_EQ(reads_plain, reads_probed);
 }
 
 }  // namespace

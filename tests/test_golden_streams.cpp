@@ -48,7 +48,7 @@ cim::TileConfig everything_on(int n_threads) {
 }
 
 // Captured with the stream relayout that introduced derive_stream keying
-// (epoch, token, row-block|attempt, tile); w = random_matrix(70,50,101),
+// (stream, token, row-block|attempt, tile); w = random_matrix(70,50,101),
 // x = random_matrix(5,70,202,1.0), seed 31337.
 struct Golden {
   int t, j;
@@ -68,7 +68,7 @@ TEST_P(GoldenStreams, EverythingOnForwardMatchesPinnedValues) {
   const Matrix w = random_matrix(70, 50, 101);
   const Matrix x = random_matrix(5, 70, 202, 1.0f);
   cim::AnalogMatmul unit(w, {}, everything_on(threads), 31337);
-  const Matrix y = unit.forward(x);
+  const Matrix y = unit.forward(x, cim::stream_keys(0, x.rows()));
   for (const auto& g : kGolden) {
     EXPECT_EQ(y.at(g.t, g.j), g.v)
         << "t=" << g.t << " j=" << g.j << " threads=" << threads;
@@ -113,12 +113,12 @@ TEST_P(GoldenStreams, KeyedForwardMatchesPinnedValues) {
   util::ThreadPool::global().resize(1);
 }
 
-// The unified keying contract: an unkeyed forward is the keyed forward
-// with keys = (call index, row). The n-th forward(x) on one unit must
-// reproduce forward(x, {n, t}) on an identically built twin bit for bit
-// — outputs, array stats, ADC and ABFT counters — under both input-scaling
+// The one keying contract: a forward is a pure function of (seed, x,
+// keys). Stream n on a unit that has already served other streams must
+// reproduce stream n on a freshly built twin bit for bit — outputs,
+// array stats, ADC and ABFT counters — under both input-scaling
 // policies, unsharded and on a 2-chip plan.
-TEST_P(GoldenStreams, UnkeyedForwardIsKeyedByCallIndexAndRow) {
+TEST_P(GoldenStreams, KeyedForwardIsIndependentOfCallHistory) {
   const int threads = GetParam();
   util::ThreadPool::global().resize(threads);
   const Matrix w = random_matrix(70, 50, 101);
@@ -128,39 +128,37 @@ TEST_P(GoldenStreams, UnkeyedForwardIsKeyedByCallIndexAndRow) {
     for (const bool sharded : {false, true}) {
       cim::TileConfig cfg = everything_on(threads);
       cfg.scaling = scaling;
-      cim::AnalogMatmul unkeyed(w, {}, cfg, 31337);
-      cim::AnalogMatmul keyed(w, {}, cfg, 31337);
-      if (sharded) {
-        cim::ShardPlan plan;
-        plan.n_chips = 2;
-        unkeyed.set_shard_plan(plan);
-        keyed.set_shard_plan(plan);
-      }
-      for (std::uint64_t n = 0; n < 3; ++n) {
+      cim::ShardPlan plan;
+      plan.n_chips = 2;
+      cim::AnalogMatmul warm(w, {}, cfg, 31337);
+      if (sharded) warm.set_shard_plan(plan);
+      for (const std::uint64_t n : {2u, 0u, 1u}) {
         const std::string where =
             "scaling=" + std::to_string(static_cast<int>(scaling)) +
-            " sharded=" + std::to_string(sharded) + " call=" +
+            " sharded=" + std::to_string(sharded) + " stream=" +
             std::to_string(n) + " threads=" + std::to_string(threads);
-        std::vector<cim::StreamKey> keys(static_cast<std::size_t>(x.rows()));
-        for (std::uint64_t t = 0; t < keys.size(); ++t) keys[t] = {n, t};
-        const Matrix a = unkeyed.forward(x);
-        const Matrix b = keyed.forward(x, keys);
+        const auto keys = cim::stream_keys(n, x.rows());
+        cim::AnalogMatmul fresh(w, {}, cfg, 31337);
+        if (sharded) fresh.set_shard_plan(plan);
+        warm.reset_stats();
+        const Matrix a = warm.forward(x, keys);
+        const Matrix b = fresh.forward(x, keys);
         ASSERT_TRUE(a.same_shape(b)) << where;
         const std::size_t bytes =
             sizeof(float) * static_cast<std::size_t>(a.size());
         EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0) << where;
-        const cim::ArrayStats& sa = unkeyed.stats();
-        const cim::ArrayStats& sb = keyed.stats();
+        const cim::ArrayStats& sa = warm.stats();
+        const cim::ArrayStats& sb = fresh.stats();
         EXPECT_EQ(sa.alpha_sum, sb.alpha_sum) << where;
         EXPECT_EQ(sa.alpha_count, sb.alpha_count) << where;
         EXPECT_EQ(sa.dac_samples, sb.dac_samples) << where;
         EXPECT_EQ(sa.dac_clipped, sb.dac_clipped) << where;
         EXPECT_EQ(sa.bm_retries, sb.bm_retries) << where;
-        EXPECT_EQ(unkeyed.adc_reads(), keyed.adc_reads()) << where;
-        EXPECT_EQ(unkeyed.adc_saturations(), keyed.adc_saturations())
+        EXPECT_EQ(warm.adc_reads(), fresh.adc_reads()) << where;
+        EXPECT_EQ(warm.adc_saturations(), fresh.adc_saturations())
             << where;
-        const cim::AbftStats fa = unkeyed.abft_stats();
-        const cim::AbftStats fb = keyed.abft_stats();
+        const cim::AbftStats fa = warm.abft_stats();
+        const cim::AbftStats fb = fresh.abft_stats();
         EXPECT_EQ(fa.checks, fb.checks) << where;
         EXPECT_EQ(fa.flags, fb.flags) << where;
         EXPECT_EQ(fa.residual_abs_sum, fb.residual_abs_sum) << where;

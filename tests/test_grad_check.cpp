@@ -15,7 +15,7 @@ namespace {
 
 // Loss of the model on a fixed example (pure function of parameters).
 double model_loss(nn::TransformerLM& model, const eval::Example& ex) {
-  const Matrix logits = model.forward(ex.tokens, /*training=*/false);
+  const Matrix logits = model.forward(ex.tokens);
   return train::softmax_cross_entropy(logits, ex.targets, ex.weights).loss;
 }
 
@@ -46,7 +46,7 @@ TEST(GradCheck, FullModelMatchesFiniteDifferences) {
 
     // Analytic gradients.
     model.zero_grads();
-    const Matrix logits = model.forward(ex.tokens, /*training=*/true);
+    const Matrix logits = model.forward(ex.tokens);
     const auto res = train::softmax_cross_entropy(logits, ex.targets, ex.weights);
     model.backward(res.dlogits);
 

@@ -77,9 +77,9 @@ TEST(Int8Backend, LinearRoundTripAndTrainingGuard) {
   const Matrix fp = lin.forward(x);
   lin.to_int8({});
   EXPECT_TRUE(lin.is_int8());
-  const Matrix q = lin.forward(x);
+  const Matrix q = lin.forward_keyed(x, {});  // INT8 ignores the keys
   EXPECT_LT(rel_err(q, fp), 0.05);
-  EXPECT_THROW(lin.forward(x, /*training=*/true), std::logic_error);
+  EXPECT_THROW(lin.forward(x), std::logic_error);
   lin.to_digital();
   EXPECT_FALSE(lin.is_int8());
   EXPECT_EQ(ops::mse(lin.forward(x), fp), 0.0);
@@ -101,7 +101,7 @@ TEST(Int8Backend, DeployDigitalInt8OnModel) {
   core::NoraOptions opts;
   opts.enabled = true;
   core::deploy_digital_int8(model, task, opts);
-  const Matrix q = model.forward(ex.tokens);
+  const Matrix q = model.infer(ex.tokens);
   EXPECT_LT(rel_err(q, fp), 0.1);  // W8A8 with SmoothQuant stays close
   model.to_digital();
   EXPECT_EQ(ops::mse(model.forward(ex.tokens), fp), 0.0);

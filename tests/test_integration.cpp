@@ -5,8 +5,12 @@
 //   digital fp32  >=  NORA analog  >>  naive analog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/nora.hpp"
@@ -176,6 +180,89 @@ TEST_F(IntegrationTest, HeadlineOrderingHoldsOnServePath) {
   EXPECT_LT(acc_naive, fp - 0.10);
   EXPECT_GE(acc_nora, fp - 0.05);
   EXPECT_GT(acc_nora, acc_naive + 0.10);
+}
+
+// Evaluation scores the serving path itself. With Table II tiles, naive
+// and NORA, the logits row of example i is bit for bit what a scheduler
+// records as the first-token logits of a request with that example as
+// its prompt on stream i (a request cannot ask for stream 0, so example
+// 0 is checked against a direct single-segment forward_serve), and
+// evaluate() reports exactly the accuracy and loss of those rows.
+TEST_F(IntegrationTest, EvalEqualsServe) {
+  constexpr int kExamples = 24;
+  nn::TransformerLM& model = *serving_twin();
+  const eval::SynthLambada task = eval_task();
+  const std::string split = eval::EvalOptions().split;
+  for (const bool nora_on : {false, true}) {
+    model.to_digital();
+    core::DeployOptions opts;
+    opts.tile = cim::TileConfig::paper_table2();
+    opts.nora.enabled = nora_on;
+    core::deploy_analog(model, eval::SynthLambada(task_cfg()), opts);
+    serve::SchedulerConfig sc;
+    sc.record_logits = true;
+    serve::Scheduler sched(model, sc);
+    std::vector<std::int64_t> ids(kExamples, -1);
+    for (int i = 1; i < kExamples; ++i) {
+      serve::RequestParams p;
+      p.prompt = task.make_example(split, static_cast<std::uint64_t>(i)).tokens;
+      p.max_new_tokens = 1;
+      p.stream_seed = static_cast<std::uint64_t>(i);
+      ids[static_cast<std::size_t>(i)] = sched.submit(std::move(p));
+    }
+    sched.run_until_idle();
+    int correct = 0;
+    double loss = 0.0;
+    for (int i = 0; i < kExamples; ++i) {
+      const std::string where =
+          "nora=" + std::to_string(nora_on) + " example " + std::to_string(i);
+      const eval::Example ex =
+          task.make_example(split, static_cast<std::uint64_t>(i));
+      std::vector<float> served;
+      if (i == 0) {
+        nn::KvCache cache;
+        nn::TransformerLM::ServeSegment seg;
+        seg.tokens = ex.tokens;
+        seg.cache = &cache;
+        seg.stream = 0;
+        const Matrix logits = model.forward_serve({&seg, 1});
+        const auto last = logits.row(logits.rows() - 1);
+        served.assign(last.begin(), last.end());
+      } else {
+        const serve::RequestRecord r =
+            sched.request(ids[static_cast<std::size_t>(i)]);
+        ASSERT_EQ(r.logits.size(), 1u) << where;
+        served = r.logits[0];
+      }
+      const Matrix scored = model.infer(ex.tokens, static_cast<std::uint64_t>(i));
+      const auto last = scored.row(scored.rows() - 1);
+      ASSERT_EQ(served.size(), last.size()) << where;
+      EXPECT_EQ(std::memcmp(served.data(), last.data(),
+                            sizeof(float) * last.size()),
+                0)
+          << where;
+      // evaluate()'s scoring rule, applied to the served row.
+      int best = 0;
+      float row_max = served[0];
+      for (std::size_t v = 1; v < served.size(); ++v) {
+        if (served[v] > served[static_cast<std::size_t>(best)]) {
+          best = static_cast<int>(v);
+        }
+        row_max = std::max(row_max, served[v]);
+      }
+      correct += best == ex.answer;
+      double denom = 0.0;
+      for (const float v : served) denom += std::exp(double(v) - row_max);
+      loss += -(double(served[static_cast<std::size_t>(ex.answer)]) - row_max -
+                std::log(denom));
+    }
+    eval::EvalOptions eo;
+    eo.n_examples = kExamples;
+    const eval::EvalResult r = eval::evaluate(model, task, eo);
+    EXPECT_EQ(r.accuracy, static_cast<double>(correct) / kExamples);
+    EXPECT_EQ(r.avg_loss, loss / kExamples);
+  }
+  model.to_digital();
 }
 
 TEST_F(IntegrationTest, NoraIsExactWithoutNoise) {

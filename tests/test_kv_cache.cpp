@@ -3,6 +3,7 @@
 // full-context forward, on both digital and (noise-free) analog backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -171,14 +172,16 @@ TEST(KvCache, CapacityGuardThrowsNamedErrorBeforeTouchingState) {
                KvCacheOverflow);
 }
 
-TEST(Generate, GreedyMatchesRepeatedPredictNext) {
+TEST(Generate, GreedyMatchesArgmaxOfRepeatedInference) {
   TransformerLM model = make_model();
   std::vector<int> prompt{3, 1, 4};
   const auto generated = model.generate(prompt, 5);
   ASSERT_EQ(generated.size(), 5u);
   std::vector<int> seq = prompt;
   for (int tok : generated) {
-    EXPECT_EQ(tok, model.predict_next(seq));
+    const Matrix logits = model.infer(seq);
+    const auto last = logits.row(logits.rows() - 1);
+    EXPECT_EQ(tok, std::max_element(last.begin(), last.end()) - last.begin());
     seq.push_back(tok);
   }
 }

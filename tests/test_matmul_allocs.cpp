@@ -69,10 +69,13 @@ Matrix random_matrix(std::int64_t r, std::int64_t c, std::uint64_t seed) {
   return m;
 }
 
-/// Heap allocations made by one forward (its returned Matrix included).
-std::int64_t allocs_of_forward(cim::AnalogMatmul& unit, const Matrix& x) {
+/// Heap allocations made by one forward on stream n (its returned
+/// Matrix included, the caller's keys not).
+std::int64_t allocs_of_forward(cim::AnalogMatmul& unit, const Matrix& x,
+                               std::uint64_t n) {
+  const auto keys = cim::stream_keys(n, x.rows());
   const std::int64_t a0 = g_allocs.load(std::memory_order_relaxed);
-  { const Matrix y = unit.forward(x); }
+  { const Matrix y = unit.forward(x, keys); }
   return g_allocs.load(std::memory_order_relaxed) - a0;
 }
 
@@ -91,7 +94,7 @@ void warm_pool_workspaces(const Matrix& w, cim::TileConfig cfg) {
     arrived.fetch_add(1);
     while (arrived.load() < width) std::this_thread::yield();
     cim::AnalogMatmul twin(w, {}, cfg, 1);
-    twin.forward(Matrix(1, w.rows()));
+    twin.forward(Matrix(1, w.rows()), cim::stream_keys(0, 1));
   });
 }
 
@@ -116,13 +119,13 @@ void check_shape_changes(int threads) {
                               " n_threads=" + std::to_string(threads);
     cim::AnalogMatmul unit(w, {}, cfg, 99);
     if (sharded) unit.set_shard_plan({cim::ShardAxis::kColBlocks, 4});
-    allocs_of_forward(unit, prefill);  // warm-up, each shape once
-    allocs_of_forward(unit, decode);
-    const std::int64_t big_after_small = allocs_of_forward(unit, prefill);
-    const std::int64_t big_after_big = allocs_of_forward(unit, prefill);
-    const std::int64_t small_after_big = allocs_of_forward(unit, decode);
-    const std::int64_t small_after_small = allocs_of_forward(unit, decode);
-    const std::int64_t big_again = allocs_of_forward(unit, prefill);
+    allocs_of_forward(unit, prefill, 0);  // warm-up, each shape once
+    allocs_of_forward(unit, decode, 1);
+    const std::int64_t big_after_small = allocs_of_forward(unit, prefill, 2);
+    const std::int64_t big_after_big = allocs_of_forward(unit, prefill, 3);
+    const std::int64_t small_after_big = allocs_of_forward(unit, decode, 4);
+    const std::int64_t small_after_small = allocs_of_forward(unit, decode, 5);
+    const std::int64_t big_again = allocs_of_forward(unit, prefill, 6);
     EXPECT_EQ(big_after_small, big_after_big) << where;
     EXPECT_EQ(small_after_big, small_after_small) << where;
     EXPECT_EQ(big_again, big_after_big) << where;

@@ -62,7 +62,7 @@ TEST(Linear, AnalogBackendIdealMatchesDigital) {
   const Matrix digital = lin.forward(x);
   lin.to_analog(cim::TileConfig::ideal(), {}, 99);
   EXPECT_TRUE(lin.is_analog());
-  const Matrix analog = lin.forward(x);
+  const Matrix analog = lin.forward_keyed(x, cim::stream_keys(0, x.rows()));
   EXPECT_LT(ops::mse(digital, analog), 1e-6);
   lin.to_digital();
   EXPECT_FALSE(lin.is_analog());
@@ -72,8 +72,7 @@ TEST(Linear, TrainingThroughAnalogRejected) {
   util::Rng rng(5);
   Linear lin("l", 4, 4, rng, 0.5f);
   lin.to_analog(cim::TileConfig::ideal(), {}, 1);
-  EXPECT_THROW(lin.forward(random_matrix(2, 4, 6), /*training=*/true),
-               std::logic_error);
+  EXPECT_THROW(lin.forward(random_matrix(2, 4, 6)), std::logic_error);
 }
 
 TEST(Linear, CaptureInputRecordsChannelMax) {
@@ -92,9 +91,19 @@ TEST(Linear, CaptureFullAccumulatesRows) {
   util::Rng rng(8);
   Linear lin("l", 3, 2, rng, 0.5f);
   lin.set_capture_full(true);
-  lin.forward(random_matrix(2, 3, 9));
-  lin.forward(random_matrix(3, 3, 10));
+  const Matrix x1 = random_matrix(2, 3, 9);
+  const Matrix x2 = random_matrix(3, 3, 10);
+  lin.forward(x1);
+  // The inference forward captures too: calibration runs through it.
+  lin.forward_keyed(x2, cim::stream_keys(0, x2.rows()));
   EXPECT_EQ(lin.captured_inputs().rows(), 5);
+  // Rows are appended in call order, bit for bit.
+  const Matrix& got = lin.captured_inputs();
+  for (std::int64_t r = 0; r < 5; ++r) {
+    for (std::int64_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(got.at(r, c), r < 2 ? x1.at(r, c) : x2.at(r - 2, c));
+    }
+  }
   lin.set_capture_full(false);
 }
 
@@ -195,9 +204,9 @@ TEST(Transformer, ForwardShapesAndValidation) {
   EXPECT_THROW(model.forward(std::vector<int>{}), std::invalid_argument);
   EXPECT_THROW(model.forward(std::vector<int>(11, 1)), std::invalid_argument);
   EXPECT_THROW(model.forward(std::vector<int>{25}), std::invalid_argument);
-  const int next = model.predict_next(tokens);
-  EXPECT_GE(next, 0);
-  EXPECT_LT(next, 20);
+  // Inference runs the serving path; on a digital model it computes the
+  // training forward's logits bit for bit.
+  EXPECT_EQ(ops::mse(model.infer(tokens), logits), 0.0);
 }
 
 TEST(Transformer, LinearLayerEnumerationIsStable) {
@@ -244,7 +253,7 @@ TEST(Transformer, AnalogDeployAndRevert) {
     lin->to_analog(cim::TileConfig::ideal(), {}, 7);
   }
   EXPECT_TRUE(model.is_analog());
-  const Matrix analog = model.forward(tokens);
+  const Matrix analog = model.infer(tokens);
   EXPECT_LT(ops::mse(digital, analog), 1e-6);
   model.to_digital();
   EXPECT_FALSE(model.is_analog());

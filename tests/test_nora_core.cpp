@@ -108,7 +108,7 @@ TEST(DeployAnalog, IdealTileWithNoraIsExact) {
   const auto cals = deploy_analog(model, task, opts);
   EXPECT_EQ(cals.size(), model.linear_layers().size());
   EXPECT_TRUE(model.is_analog());
-  const Matrix analog = model.forward(ex.tokens);
+  const Matrix analog = model.infer(ex.tokens);
   const double rel = std::sqrt(ops::mse(digital, analog)) /
                      (ops::frobenius_norm(digital) /
                       std::sqrt(double(digital.size())));
@@ -156,7 +156,7 @@ TEST(ScalingFactorStats, NoraShrinksAlphaGamma) {
     opts.tile = cim::TileConfig::paper_table2();
     opts.nora.enabled = nora_on;
     deploy_analog(model, task, opts);
-    model.forward(ex.tokens);
+    model.infer(ex.tokens);
     double sum = 0.0;
     const auto stats = scaling_factor_stats(model);
     for (const auto& st : stats) sum += st.alpha_gamma_gmax;
@@ -178,9 +178,9 @@ TEST(SetReadTime, RequiresDriftDeployment) {
   opts.nora.enabled = false;
   deploy_analog(model, task, opts);
   const auto ex = task.make_example("test", 1);
-  const Matrix y0 = model.forward(ex.tokens);
+  const Matrix y0 = model.infer(ex.tokens, 0);
   set_read_time(model, 3600.0f);
-  const Matrix y1 = model.forward(ex.tokens);
+  const Matrix y1 = model.infer(ex.tokens, 1);
   // Deterministic drift + compensation cancels exactly.
   EXPECT_LT(ops::mse(y0, y1), 1e-8);
 }

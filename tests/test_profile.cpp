@@ -63,7 +63,7 @@ TEST(Profile, DeployFromProfileMatchesDirectDeploy) {
   dopts.nora = opts;
   dopts.seed = 99;
   deploy_analog(direct, task, dopts);
-  const Matrix y_direct = direct.forward(ex.tokens);
+  const Matrix y_direct = direct.infer(ex.tokens);
 
   // Via profile: calibrate, save, load, deploy on a fresh twin.
   auto source = make_model(task_cfg);
@@ -73,7 +73,7 @@ TEST(Profile, DeployFromProfileMatchesDirectDeploy) {
   auto twin = make_model(task_cfg);
   deploy_analog_with_profile(twin, load_profile(path),
                              cim::TileConfig::paper_table2(), opts.s_min, 99);
-  const Matrix y_profile = twin.forward(ex.tokens);
+  const Matrix y_profile = twin.infer(ex.tokens);
   EXPECT_EQ(ops::mse(y_direct, y_profile), 0.0);  // identical seeds + s
   std::remove(path.c_str());
 }

@@ -40,7 +40,8 @@ TEST_P(TileShapeSweep, PartitionInvarianceAtZeroNoise) {
   cim::TileConfig cfg = cim::TileConfig::ideal();
   cfg.tile_rows = rows;
   cfg.tile_cols = cols;
-  const Matrix y = cim::AnalogMatmul(w, {}, cfg, 3).forward(x);
+  const Matrix y =
+      cim::AnalogMatmul(w, {}, cfg, 3).forward(x, cim::stream_keys(0, x.rows()));
   const Matrix ref = ops::matmul(x, w);
   EXPECT_LT(ops::mse(y, ref), 1e-8);
 }
@@ -66,7 +67,8 @@ TEST_P(LambdaSweep, RescaleExactAtZeroNoise) {
   cal.act_abs_max = ax;
   cal.w_abs_max = wx;
   const auto s = core::smoothing_vector(cal, lambda, 1e-3f);
-  const Matrix y = cim::AnalogMatmul(w, s, cim::TileConfig::ideal(), 6).forward(x);
+  const Matrix y = cim::AnalogMatmul(w, s, cim::TileConfig::ideal(), 6)
+                       .forward(x, cim::stream_keys(0, x.rows()));
   const Matrix ref = ops::matmul(x, w);
   const double rel = std::sqrt(ops::mse(y, ref)) /
                      (ops::frobenius_norm(ref) / std::sqrt(double(ref.size())));
@@ -113,10 +115,11 @@ TEST_P(BitsSweep, GemmErrorShrinksWithResolution) {
   cim::TileConfig fine = coarse;
   fine.dac_bits = bits + 2;
   fine.adc_bits = bits + 2;
+  const auto keys = cim::stream_keys(0, x.rows());
   const double mse_coarse =
-      ops::mse(cim::AnalogMatmul(w, {}, coarse, 11).forward(x), ref);
+      ops::mse(cim::AnalogMatmul(w, {}, coarse, 11).forward(x, keys), ref);
   const double mse_fine =
-      ops::mse(cim::AnalogMatmul(w, {}, fine, 11).forward(x), ref);
+      ops::mse(cim::AnalogMatmul(w, {}, fine, 11).forward(x, keys), ref);
   EXPECT_LT(mse_fine, mse_coarse);
 }
 
@@ -133,7 +136,8 @@ TEST_P(PolicyNoiseSweep, OutputsAlwaysFinite) {
   cim::TileConfig cfg = cim::TileConfig::paper_table2();
   cfg.scaling = scaling;
   cfg.bound_management = bm;
-  const Matrix y = cim::AnalogMatmul(w, {}, cfg, 14).forward(x);
+  const Matrix y =
+      cim::AnalogMatmul(w, {}, cfg, 14).forward(x, cim::stream_keys(0, x.rows()));
   for (std::int64_t i = 0; i < y.size(); ++i) {
     ASSERT_TRUE(std::isfinite(y.data()[i]));
   }
@@ -164,7 +168,9 @@ TEST_P(SeedSweep, NoiseIsUnbiasedAcrossSeeds) {
   Matrix mean(x.rows(), w.cols());
   const int reps = 600;
   cim::AnalogMatmul unit(w, {}, cfg, seed + 2);
-  for (int r = 0; r < reps; ++r) ops::add_inplace(mean, unit.forward(x));
+  for (int r = 0; r < reps; ++r) {
+    ops::add_inplace(mean, unit.forward(x, cim::stream_keys(r, x.rows())));
+  }
   ops::scale_inplace(mean, 1.0f / reps);
   for (std::int64_t i = 0; i < mean.size(); ++i) {
     EXPECT_NEAR(mean.data()[i], ref.data()[i], 0.08)

@@ -64,7 +64,7 @@ TEST_P(AbftZeroResidual, ExactlyZeroWhenKnobsOff) {
   }
   cim::AnalogMatmul unit(w, s, cfg, 4242);
   ASSERT_TRUE(unit.abft_enabled());
-  unit.forward(x);
+  unit.forward(x, cim::stream_keys(0, x.rows()));
   const cim::AbftStats stats = unit.abft_stats();
   EXPECT_GT(stats.checks, 0);
   EXPECT_EQ(stats.flags, 0);
@@ -96,11 +96,11 @@ TEST(AbftDetection, SingleFlippedDeviceFlagsWithinOneForward) {
   cfg.tile_cols = 24;
   cfg.abft_checksum = true;
   cim::AnalogMatmul unit(w, {}, cfg, 4242);
-  unit.forward(x);
+  unit.forward(x, cim::stream_keys(0, x.rows()));
   EXPECT_EQ(unit.abft_stats().flags, 0);
   unit.reset_stats();
   unit.wear_stuck(/*k=*/5, /*n=*/7, 0.77f);  // silent post-deployment flip
-  unit.forward(x);
+  unit.forward(x, cim::stream_keys(1, x.rows()));
   EXPECT_GE(unit.abft_stats().flags, 1);
   EXPECT_GT(unit.abft_stats().residual_max, 0.0);
 }
@@ -115,7 +115,7 @@ TEST(AbftDetection, NoFalsePositiveStormUnderTableIINoise) {
   cfg.tile_cols = 24;
   cfg.abft_checksum = true;
   cim::AnalogMatmul unit(w, {}, cfg, 4242);
-  unit.forward(x);
+  unit.forward(x, cim::stream_keys(0, x.rows()));
   const cim::AbftStats stats = unit.abft_stats();
   EXPECT_GT(stats.checks, 0);
   EXPECT_LE(stats.flag_rate(), 0.05);
@@ -134,8 +134,9 @@ TEST(AbftDetection, DataPathBitIdenticalWithAbftOnOrOff) {
   cim::AnalogMatmul unit_off(w, {}, off, 4242);
   cim::AnalogMatmul unit_on(w, {}, on, 4242);
   for (int pass = 0; pass < 2; ++pass) {
-    const Matrix y_off = unit_off.forward(x);
-    const Matrix y_on = unit_on.forward(x);
+    const auto keys = cim::stream_keys(pass, x.rows());
+    const Matrix y_off = unit_off.forward(x, keys);
+    const Matrix y_on = unit_on.forward(x, keys);
     ASSERT_EQ(y_off.rows(), y_on.rows());
     for (std::int64_t i = 0; i < y_off.size(); ++i) {
       ASSERT_EQ(y_off.data()[i], y_on.data()[i]) << "pass " << pass << " i=" << i;
@@ -153,17 +154,17 @@ TEST(AbftDetection, ReReadClearsUpsetsButNotWear) {
   cfg.abft_checksum = true;
   cim::AnalogMatmul unit(w, {}, cfg, 77);
   unit.upset_device(3, 4, 0.8f);
-  unit.forward(x);
+  unit.forward(x, cim::stream_keys(0, x.rows()));
   EXPECT_GT(unit.abft_stats().flags, 0);
   unit.reset_stats();
   unit.set_read_time(0.0f);  // analog re-read: effective state re-derived
-  unit.forward(x);
+  unit.forward(x, cim::stream_keys(1, x.rows()));
   EXPECT_EQ(unit.abft_stats().flags, 0);
 
   unit.wear_stuck(3, 4, 0.8f);
   unit.reset_stats();
   unit.set_read_time(0.0f);
-  unit.forward(x);
+  unit.forward(x, cim::stream_keys(2, x.rows()));
   EXPECT_GT(unit.abft_stats().flags, 0) << "wear must survive a re-read";
   ASSERT_EQ(unit.wear().size(), 1u);
 }
@@ -192,9 +193,8 @@ std::unique_ptr<nn::TransformerLM> micro_model() {
 }
 
 void serve_traffic(nn::TransformerLM& model, const eval::SynthLambada& task) {
-  for (const auto& tokens : task.calibration_set(2)) {
-    model.forward(tokens, /*training=*/false);
-  }
+  const auto traffic = task.calibration_set(2);
+  for (std::size_t i = 0; i < traffic.size(); ++i) model.infer(traffic[i], i);
 }
 
 // Refreshing a layer from its deployment seed restores the exact
@@ -210,12 +210,12 @@ TEST(RefreshAnalogLayer, RestoresAsDeployedStateBitwise) {
   cfg.abft_checksum = true;
   const std::uint64_t deploy_seed = 2025;
   lin.to_analog(cfg, {}, util::derive_seed(deploy_seed, lin.name()));
-  const Matrix y0 = lin.forward(x);
+  const Matrix y0 = lin.forward_keyed(x, cim::stream_keys(0, x.rows()));
   lin.analog()->set_read_time(86400.0f);
-  const Matrix y_drift = lin.forward(x);
+  const Matrix y_drift = lin.forward_keyed(x, cim::stream_keys(1, x.rows()));
   EXPECT_GT(ops::mse(y_drift, y0), 0.0);
   core::refresh_analog_layer(lin, deploy_seed);
-  const Matrix y1 = lin.forward(x);
+  const Matrix y1 = lin.forward_keyed(x, cim::stream_keys(0, x.rows()));
   for (std::int64_t i = 0; i < y0.size(); ++i) {
     ASSERT_EQ(y0.data()[i], y1.data()[i]) << "i=" << i;
   }
@@ -234,7 +234,7 @@ TEST(RefreshAnalogLayer, ReplaysWearOntoFreshProgram) {
   core::refresh_analog_layer(lin, 1u);
   ASSERT_EQ(lin.analog()->wear().size(), 1u);
   lin.analog()->reset_stats();
-  lin.forward(x);
+  lin.forward_keyed(x, cim::stream_keys(0, x.rows()));
   EXPECT_GT(lin.analog()->abft_stats().flags, 0)
       << "wear must survive a refresh: reprogramming cannot fix silicon";
   lin.to_digital();

@@ -145,10 +145,10 @@ TEST(ChipInvariance, MatmulBitIdenticalAcrossChipAndThreadCounts) {
     cfg.n_threads = n_threads;
     cim::AnalogMatmul unit(w, {}, cfg, 777);
     unit.set_shard_plan({axis, n_chips});
-    Matrix y1 = unit.forward(x);
-    Matrix y2 = unit.forward(x);  // second epoch too
+    Matrix y1 = unit.forward(x, cim::stream_keys(0, x.rows()));
+    Matrix y2 = unit.forward(x, cim::stream_keys(1, x.rows()));
     if (stats_out != nullptr) *stats_out = unit.stats();
-    // Concatenate both epochs for a single comparison payload.
+    // Concatenate both streams for a single comparison payload.
     Matrix both(y1.rows() * 2, y1.cols());
     std::memcpy(both.data(), y1.data(),
                 sizeof(float) * static_cast<std::size_t>(y1.size()));
@@ -207,7 +207,7 @@ TEST(ChipInvariance, SplitAxisNarrowerThanChipCountStaysBitIdentical) {
       cfg.n_threads = n_threads;
       cim::AnalogMatmul unit(w, {}, cfg, 4242);
       unit.set_shard_plan({c.axis, n_chips});
-      const Matrix y = unit.forward(x);
+      const Matrix y = unit.forward(x, cim::stream_keys(0, x.rows()));
       stats = unit.stats();
       EXPECT_EQ(c.axis == cim::ShardAxis::kRowBlocks ? unit.row_blocks()
                                                      : unit.col_blocks(),
@@ -240,7 +240,7 @@ TEST(ChipInvariance, DeployedModelLogitsBitIdenticalAcrossChips) {
     const shard::PipelinePlan plan = shard::plan_tensor_parallel(
         static_cast<int>(model.blocks().size()), n_chips);
     shard::apply_plan(model, chips, plan);
-    return model.forward(tokens);
+    return model.infer(tokens);
   };
   const Matrix ref = run(1, 1);
   for (const int n_chips : {2, 4}) {
@@ -261,7 +261,7 @@ TEST(ChipInvariance, PipelinePlacementDoesNotChangeBits) {
     nn::TransformerLM model = make_analog_model();
     shard::ChipSet chips(n_chips, 2);
     shard::apply_plan(model, chips, plan);
-    return model.forward(tokens);
+    return model.infer(tokens);
   };
   const Matrix ref = run(shard::plan_tensor_parallel(2, 1), 1);
   EXPECT_TRUE(bitwise_equal(run(shard::plan_round_robin(2, 2), 2), ref));
@@ -277,14 +277,15 @@ TEST(ChipInvariance, ClearPlanRestoresLegacyPath) {
   const Matrix x = random_matrix(4, 70, 808, 1.0f);
   util::ThreadPool::global().resize(1);
   cim::AnalogMatmul legacy(w, {}, everything_on(), 777);
-  const Matrix ref = legacy.forward(x);
+  const auto keys = cim::stream_keys(0, x.rows());
+  const Matrix ref = legacy.forward(x, keys);
   cim::AnalogMatmul unit(w, {}, everything_on(), 777);
   unit.set_shard_plan({cim::ShardAxis::kRowBlocks, 2});
   EXPECT_TRUE(unit.sharded());
   unit.clear_shard_plan();
   EXPECT_FALSE(unit.sharded());
-  // After clearing, epoch 0 replays the exact legacy bits.
-  EXPECT_TRUE(bitwise_equal(unit.forward(x), ref));
+  // After clearing, stream 0 replays the exact legacy bits.
+  EXPECT_TRUE(bitwise_equal(unit.forward(x, keys), ref));
 }
 
 // --- sharded golden-stream regression --------------------------------
@@ -309,7 +310,7 @@ TEST(ShardGolden, ShardedForwardMatchesPinnedValues) {
   const Matrix x = random_matrix(5, 70, 202, 1.0f);
   cim::AnalogMatmul unit(w, {}, everything_on(), 31337);
   unit.set_shard_plan({cim::ShardAxis::kRowBlocks, 2});
-  const Matrix y = unit.forward(x);
+  const Matrix y = unit.forward(x, cim::stream_keys(0, x.rows()));
   for (const auto& g : kShardGolden) {
     EXPECT_EQ(y.at(g.t, g.j), g.v) << "t=" << g.t << " j=" << g.j;
   }

@@ -60,16 +60,16 @@ TEST(ThreadInvariance, MatmulBitIdenticalAcrossThreadCounts) {
   // Reference: fully sequential run (pool width 1, serial code path).
   util::ThreadPool::global().resize(1);
   cim::AnalogMatmul ref_unit(w, {}, everything_on(1), 777);
-  const Matrix ref1 = ref_unit.forward(x);
-  const Matrix ref2 = ref_unit.forward(x);  // second epoch too
+  const Matrix ref1 = ref_unit.forward(x, cim::stream_keys(0, x.rows()));
+  const Matrix ref2 = ref_unit.forward(x, cim::stream_keys(1, x.rows()));
   const auto ref_stats = ref_unit.stats();
   const std::int64_t ref_reads = ref_unit.adc_reads();
   const auto ref_abft = ref_unit.abft_stats();
   for (const int threads : {2, 7, 16}) {
     util::ThreadPool::global().resize(threads);
     cim::AnalogMatmul unit(w, {}, everything_on(threads), 777);
-    const Matrix y1 = unit.forward(x);
-    const Matrix y2 = unit.forward(x);
+    const Matrix y1 = unit.forward(x, cim::stream_keys(0, x.rows()));
+    const Matrix y2 = unit.forward(x, cim::stream_keys(1, x.rows()));
     EXPECT_TRUE(bitwise_equal(y1, ref1)) << "threads=" << threads;
     EXPECT_TRUE(bitwise_equal(y2, ref2)) << "threads=" << threads;
     // Statistics reduce in canonical order: equally thread-invariant.
@@ -96,7 +96,7 @@ TEST(ThreadInvariance, NoraRescaleAndDriftAlsoInvariant) {
     cfg.drift_enabled = true;
     cim::AnalogMatmul unit(w, s, cfg, 555);
     unit.set_read_time(3600.0f);
-    return unit.forward(x);
+    return unit.forward(x, cim::stream_keys(0, x.rows()));
   };
   const Matrix ref = run(1);
   EXPECT_TRUE(bitwise_equal(run(2), ref));
@@ -125,7 +125,7 @@ TEST(ThreadInvariance, DeployedModelLogitsBitIdentical) {
     opts.tile.tile_cols = 12;
     opts.seed = 4040;
     core::deploy_analog(model, task, opts);
-    return model.forward(tokens);
+    return model.infer(tokens);
   };
   const Matrix ref = run(1);
   for (const int threads : {2, 7, 16}) {
@@ -134,47 +134,52 @@ TEST(ThreadInvariance, DeployedModelLogitsBitIdentical) {
   util::ThreadPool::global().resize(1);
 }
 
-TEST(ThreadInvariance, ForwardsDecorrelateButReconstructionReplays) {
+TEST(ThreadInvariance, StreamsDecorrelateButReplay) {
   const Matrix w = random_matrix(40, 30, 11);
   const Matrix x = random_matrix(3, 40, 12, 1.0f);
   cim::TileConfig cfg = cim::TileConfig::paper_table2();
   cfg.tile_rows = 32;
   cfg.tile_cols = 24;
+  const auto keys0 = cim::stream_keys(0, x.rows());
+  const auto keys1 = cim::stream_keys(1, x.rows());
   cim::AnalogMatmul unit(w, {}, cfg, 1234);
-  const Matrix y1 = unit.forward(x);
-  const Matrix y2 = unit.forward(x);
-  // Successive forwards use fresh epochs: the noise must not repeat.
+  const Matrix y1 = unit.forward(x, keys0);
+  const Matrix y2 = unit.forward(x, keys1);
+  // Distinct streams draw fresh noise: it must not repeat.
   EXPECT_FALSE(bitwise_equal(y1, y2));
-  // Reconstructing the unit replays the exact same epoch sequence.
+  // A stream replays on the same unit, whatever ran before it...
+  EXPECT_TRUE(bitwise_equal(unit.forward(x, keys0), y1));
+  // ...and on a reconstructed one, in any order.
   cim::AnalogMatmul again(w, {}, cfg, 1234);
-  EXPECT_TRUE(bitwise_equal(again.forward(x), y1));
-  EXPECT_TRUE(bitwise_equal(again.forward(x), y2));
+  EXPECT_TRUE(bitwise_equal(again.forward(x, keys1), y2));
+  EXPECT_TRUE(bitwise_equal(again.forward(x, keys0), y1));
 }
 
 // --- statistical equivalence of the relayout -------------------------
 // The stream relayout changed WHICH pseudo-random numbers each noise
 // source consumes, never their distribution. For each knob, compare the
 // empirical mean/std of the injected error against the analytic value
-// over many forward epochs.
+// over many noise streams.
 
 struct Moments {
   double mean = 0.0;
   double std = 0.0;
 };
 
-/// Runs `reps` single-token forwards of a [k x 1] unit and returns the
-/// moments of (y - y_clean).
+/// Runs `reps` single-token forwards of a [k x 1] unit, rep r on stream
+/// r, and returns the moments of (y - y_clean).
 Moments error_moments(const cim::TileConfig& noisy_cfg, std::uint64_t seed,
                       int reps) {
   const std::int64_t k = 32;
   const Matrix w = random_matrix(k, 1, 5151);
   const Matrix x = random_matrix(1, k, 5252, 1.0f);
   cim::AnalogMatmul clean_unit(w, {}, cim::TileConfig::ideal(), seed);
-  const float clean = clean_unit.forward(x).at(0, 0);
+  const float clean = clean_unit.forward(x, cim::stream_keys(0, 1)).at(0, 0);
   cim::AnalogMatmul unit(w, {}, noisy_cfg, seed);
   double sum = 0.0, sq = 0.0;
   for (int r = 0; r < reps; ++r) {
-    const double e = double(unit.forward(x).at(0, 0)) - clean;
+    const double e =
+        double(unit.forward(x, cim::stream_keys(r, 1)).at(0, 0)) - clean;
     sum += e;
     sq += e * e;
   }
