@@ -25,6 +25,15 @@ void run_items(int n_threads, std::int64_t items, const Fn& fn) {
   }
 }
 
+/// Grow v to at least n elements; never shrink. Every work item
+/// overwrites its result slots and zero-fills its own output spans, so
+/// the values a smaller call left behind are never read, and a prefill
+/// after a decode step does not value-initialise them again.
+template <class T>
+void grow(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+}
+
 }  // namespace
 
 AnalogMatmul::AnalogMatmul(const Matrix& w, std::vector<float> s,
@@ -334,9 +343,9 @@ Matrix AnalogMatmul::forward(const Matrix& x, std::span<const StreamKey> keys) {
       continue;
     }
     const std::int64_t items = (tc1 - tc0) * n_blocks;
-    partial.resize(static_cast<std::size_t>(items * n_));
-    item_stats_.resize(static_cast<std::size_t>(items));
-    item_tiles_.resize(static_cast<std::size_t>(items) * n_cols);
+    grow(partial, static_cast<std::size_t>(items * n_));
+    grow(item_stats_, static_cast<std::size_t>(items));
+    grow(item_tiles_, static_cast<std::size_t>(items) * n_cols);
     auto run_item = [&](std::int64_t i) {
       const std::int64_t t = tc0 + i / n_blocks;
       const std::size_t b = static_cast<std::size_t>(i % n_blocks);
@@ -404,9 +413,9 @@ void AnalogMatmul::run_chunk_sharded(const Matrix& x,
   const std::int64_t rows = tc1 - tc0;
   const std::int64_t slots = rows * n_blocks;   // (token, row-block) rows
   const std::int64_t items = slots * n_cols;    // (token, row-block, tile)
-  partial_.resize(static_cast<std::size_t>(slots * n_));
-  item_stats_.resize(static_cast<std::size_t>(items));
-  item_tiles_.resize(static_cast<std::size_t>(items));
+  grow(partial_, static_cast<std::size_t>(slots * n_));
+  grow(item_stats_, static_cast<std::size_t>(items));
+  grow(item_tiles_, static_cast<std::size_t>(items));
   auto run_item = [&](std::int64_t i) {
     const std::int64_t t = tc0 + i / (n_blocks * n_cols);
     const std::int64_t rem = i % (n_blocks * n_cols);

@@ -248,9 +248,11 @@ class AnalogMatmul {
   std::uint64_t stream_base_ = 0;
   ArrayStats stats_;
   std::vector<WearRecord> wear_;  // permanent post-deployment faults
-  // forward scratch, reused across calls (assign()/resize() keep
-  // capacity) so steady-state steps allocate nothing here, whatever mix
-  // of row counts they alternate between.
+  // forward scratch, reused across calls so steady-state steps allocate
+  // nothing here, whatever mix of row counts they alternate between.
+  // group_of_/avg_alpha_ are assign()ed (capacity kept); partial_ and
+  // the item slots below only ever grow, since every item overwrites
+  // what it reads.
   // forward() was never safe to call concurrently on one AnalogMatmul
   // (stats_); these add no new restriction.
   std::vector<std::int64_t> group_of_;
@@ -260,8 +262,8 @@ class AnalogMatmul {
   // management stats, and one runtime counter per tile the item ran.
   // Private per item and folded into the shared state serially, in
   // canonical order, so the statistics are race-free AND bit-identical
-  // for any thread count. Flat arrays with no per-item heap storage;
-  // resize() keeps capacity, so a smaller call frees nothing.
+  // for any thread count. Flat arrays with no per-item heap storage,
+  // never shrunk, so a smaller call neither frees nor re-zeroes them.
   std::vector<ArrayStats> item_stats_;
   std::vector<TileRunCounters> item_tiles_;
   // multi-chip placement plan (see set_shard_plan)

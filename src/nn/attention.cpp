@@ -139,41 +139,32 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
     op.chip = timing_chip_;
     timing::record(std::move(op));
   }
-  // Append this step's K/V rows directly into each sequence's cache:
-  // sequences are independent work items with disjoint state, and the
-  // in-place append removes the former per-sequence allocate + O(pos0)
-  // copy (a pool-pre-sized slab never reallocates here).
-  util::ThreadPool::global().parallel_for(n_seqs, [&](std::int64_t s) {
-    const AttnServeSeq& seq = seqs[static_cast<std::size_t>(s)];
+  // Grow each sequence's private cache by this step's rows in one serial
+  // pass (a pool-pre-sized slab never reallocates here). Appends land at
+  // local row (global - base): the shared base is never written, so a
+  // request diverging from its leased prefix copies nothing and
+  // clobbers nobody. The rows themselves are filled by the head items
+  // below, each its own head's column slice.
+  for (const AttnServeSeq& seq : seqs) {
     KvCache::BlockCache& c = *seq.cache;
     if (c.k.cols() != d_model_) {
       c.k = Matrix(0, d_model_);
       c.v = Matrix(0, d_model_);
     }
-    // Appends land in the PRIVATE cache at local row (global - base):
-    // the shared base is never written, so a request diverging from its
-    // leased prefix copies nothing and clobbers nobody.
-    const std::int64_t local0 = seq.pos0 - seq.base_rows;
-    c.k.resize_rows(local0 + seq.rows);
-    c.v.resize_rows(local0 + seq.rows);
-    for (std::int64_t t = 0; t < seq.rows; ++t) {
-      const auto row = qkv.row(r0[static_cast<std::size_t>(s)] + t);
-      auto kr = c.k.row(local0 + t);
-      auto vr = c.v.row(local0 + t);
-      for (std::int64_t cc = 0; cc < d_model_; ++cc) {
-        kr[cc] = row[d_model_ + cc];
-        vr[cc] = row[2 * d_model_ + cc];
-      }
-    }
-  });
+    c.k.resize_rows(seq.pos0 - seq.base_rows + seq.rows);
+    c.v.resize_rows(seq.pos0 - seq.base_rows + seq.rows);
+  }
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
   Matrix concat(total, d_model_);
-  // (sequence x head) fan-out: each item writes the head's column slice
-  // of its sequence's row range — disjoint — with the same digital math
-  // and accumulation order as forward() over the whole sequence, so any
-  // thread count and any batch composition produce identical rows. Each
-  // item owns its own max_seq-long probs row, so the scratch grows only
-  // with the item count, never with the history length.
+  // (sequence x head) fan-out: each item first copies its head's column
+  // slice of the sequence's new K/V rows into the cache, then writes the
+  // head's column slice of its sequence's output rows — both disjoint
+  // across items, and an item reads only its own head's columns — with
+  // the same digital math and accumulation order as forward() over the
+  // whole sequence, so any thread count and any batch composition
+  // produce identical rows. Each item owns its own max_seq-long probs
+  // row, so the scratch grows only with the item count, never with the
+  // history length.
   const std::size_t probs_len =
       static_cast<std::size_t>(n_seqs * n_heads_ * max_seq_);
   if (serve_probs_.size() < probs_len) serve_probs_.resize(probs_len);
@@ -182,6 +173,17 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
         const std::int64_t s = item / n_heads_;
         const std::int64_t h = item % n_heads_;
         const AttnServeSeq& seq = seqs[static_cast<std::size_t>(s)];
+        const std::int64_t off = h * d_head_;
+        const std::int64_t local0 = seq.pos0 - seq.base_rows;
+        for (std::int64_t t = 0; t < seq.rows; ++t) {
+          const auto row = qkv.row(r0[static_cast<std::size_t>(s)] + t);
+          auto kr = seq.cache->k.row(local0 + t);
+          auto vr = seq.cache->v.row(local0 + t);
+          for (std::int64_t c = 0; c < d_head_; ++c) {
+            kr[off + c] = row[d_model_ + off + c];
+            vr[off + c] = row[2 * d_model_ + off + c];
+          }
+        }
         const Matrix& ks = seq.cache->k;
         const Matrix& vs = seq.cache->v;
         // Two-range history: global rows [0, br) come from the shared
@@ -192,7 +194,6 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
         const std::int64_t br = seq.base_rows;
         const Matrix& bk = seq.base != nullptr ? seq.base->k : ks;
         const Matrix& bv = seq.base != nullptr ? seq.base->v : vs;
-        const std::int64_t off = h * d_head_;
         float* const probs = serve_probs_.data() + item * max_seq_;
         const auto bias = rel_bias_.value.row(h);
         for (std::int64_t i = 0; i < seq.rows; ++i) {

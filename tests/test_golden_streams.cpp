@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cim/analog_matmul.hpp"
@@ -117,12 +118,18 @@ TEST_P(GoldenStreams, KeyedForwardMatchesPinnedValues) {
 // keys). Stream n on a unit that has already served other streams must
 // reproduce stream n on a freshly built twin bit for bit — outputs,
 // array stats, ADC and ABFT counters — under both input-scaling
-// policies, unsharded and on a 2-chip plan.
+// policies, unsharded and on a 2-chip plan. The calls alternate
+// prefill- and decode-sized inputs: the unit's work slots only grow, so
+// each call runs on slots holding the previous call's values, and every
+// item must overwrite what it reads.
 TEST_P(GoldenStreams, KeyedForwardIsIndependentOfCallHistory) {
   const int threads = GetParam();
   util::ThreadPool::global().resize(threads);
   const Matrix w = random_matrix(70, 50, 101);
-  const Matrix x = random_matrix(5, 70, 202, 1.0f);
+  const Matrix prefill = random_matrix(456, 70, 203, 1.0f);
+  const Matrix decode = random_matrix(8, 70, 202, 1.0f);
+  const std::pair<std::uint64_t, const Matrix*> calls[] = {
+      {2, &prefill}, {0, &decode}, {1, &prefill}, {3, &decode}};
   for (const cim::InputScaling scaling :
        {cim::InputScaling::kAbsMax, cim::InputScaling::kAvgAbsMax}) {
     for (const bool sharded : {false, true}) {
@@ -132,11 +139,13 @@ TEST_P(GoldenStreams, KeyedForwardIsIndependentOfCallHistory) {
       plan.n_chips = 2;
       cim::AnalogMatmul warm(w, {}, cfg, 31337);
       if (sharded) warm.set_shard_plan(plan);
-      for (const std::uint64_t n : {2u, 0u, 1u}) {
+      for (const auto& [n, xp] : calls) {
+        const Matrix& x = *xp;
         const std::string where =
             "scaling=" + std::to_string(static_cast<int>(scaling)) +
             " sharded=" + std::to_string(sharded) + " stream=" +
-            std::to_string(n) + " threads=" + std::to_string(threads);
+            std::to_string(n) + " rows=" + std::to_string(x.rows()) +
+            " threads=" + std::to_string(threads);
         const auto keys = cim::stream_keys(n, x.rows());
         cim::AnalogMatmul fresh(w, {}, cfg, 31337);
         if (sharded) fresh.set_shard_plan(plan);

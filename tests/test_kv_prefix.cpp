@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cim/tile_config.hpp"
@@ -21,6 +22,7 @@
 #include "serve/auditor.hpp"
 #include "serve/kv_cache_pool.hpp"
 #include "serve/scheduler.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nora::serve {
 namespace {
@@ -39,12 +41,14 @@ nn::TransformerConfig tiny_arch() {
 
 /// Noisy analog operating point: per-row keyed noise is what makes the
 /// bit-exactness claim non-trivial (a digital model is trivially
-/// deterministic).
-nn::TransformerLM make_analog_model() {
+/// deterministic). `threads` is the tiles' n_threads; size the global
+/// pool to match.
+nn::TransformerLM make_analog_model(int threads = 1) {
   cim::TileConfig tile = cim::TileConfig::paper_table2();
   tile.tile_rows = 16;
   tile.tile_cols = 12;
   tile.in_noise = 0.02f;
+  tile.n_threads = threads;
   nn::TransformerLM model(tiny_arch());
   std::uint64_t seed = 900;
   for (auto* lin : model.linear_layers()) {
@@ -220,77 +224,96 @@ SchedulerConfig logits_cfg() {
   return cfg;
 }
 
+/// Pool widths the prefix-reuse properties run at: at width > 1 the new
+/// K/V rows written behind a leased base are filled by parallel head
+/// items, and the analog layers and MLP activation fan out too.
+constexpr int kPrefixWidths[] = {1, 4};
+
+/// Restores the global pool to width 1 when a width loop ends or fails.
+struct PoolWidth {
+  explicit PoolWidth(int threads) { util::ThreadPool::global().resize(threads); }
+  ~PoolWidth() { util::ThreadPool::global().resize(1); }
+};
+
 TEST(ServePrefix, WarmHitBitIdenticalToColdRun) {
-  nn::TransformerLM model = make_analog_model();
-  const std::uint64_t stream = 777;
-  const std::vector<int> first = {3, 1, 4, 1, 5, 9, 2, 6};
-  std::vector<int> follow = first;
-  follow.push_back(8);  // multi-turn continuation of the same prompt
+  for (const int threads : kPrefixWidths) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const PoolWidth width(threads);
+    nn::TransformerLM model = make_analog_model(threads);
+    const std::uint64_t stream = 777;
+    const std::vector<int> first = {3, 1, 4, 1, 5, 9, 2, 6};
+    std::vector<int> follow = first;
+    follow.push_back(8);  // multi-turn continuation of the same prompt
 
-  // Cold reference: a fresh scheduler serves the follow-up with no
-  // published prefixes anywhere.
-  Scheduler cold(model, logits_cfg());
-  const RequestRecord ref = run_one(cold, follow, stream);
-  ASSERT_EQ(ref.state, RequestState::kFinished);
+    // Cold reference: a fresh scheduler serves the follow-up with no
+    // published prefixes anywhere.
+    Scheduler cold(model, logits_cfg());
+    const RequestRecord ref = run_one(cold, follow, stream);
+    ASSERT_EQ(ref.state, RequestState::kFinished);
 
-  // Warm path: the first request retires and publishes its prompt rows;
-  // the follow-up on the SAME stream leases them.
-  Scheduler warm(model, logits_cfg());
-  Auditor auditor(warm);
-  const RequestRecord a = run_one(warm, first, stream);
-  ASSERT_EQ(a.state, RequestState::kFinished);
-  EXPECT_EQ(warm.metrics().kv_prefix_published, 1);
-  const RequestRecord b = run_one(warm, follow, stream);
-  ASSERT_EQ(b.state, RequestState::kFinished);
-  const Metrics m = warm.metrics();
-  EXPECT_EQ(m.kv_prefix_hits, 1);
-  EXPECT_EQ(m.kv_prefix_hit_tokens,
-            static_cast<std::int64_t>(first.size()));  // whole first prompt
+    // Warm path: the first request retires and publishes its prompt rows;
+    // the follow-up on the SAME stream leases them.
+    Scheduler warm(model, logits_cfg());
+    Auditor auditor(warm);
+    const RequestRecord a = run_one(warm, first, stream);
+    ASSERT_EQ(a.state, RequestState::kFinished);
+    EXPECT_EQ(warm.metrics().kv_prefix_published, 1);
+    const RequestRecord b = run_one(warm, follow, stream);
+    ASSERT_EQ(b.state, RequestState::kFinished);
+    const Metrics m = warm.metrics();
+    EXPECT_EQ(m.kv_prefix_hits, 1);
+    EXPECT_EQ(m.kv_prefix_hit_tokens,
+              static_cast<std::int64_t>(first.size()));  // whole first prompt
 
-  // Tokens AND logits, bit for bit.
-  EXPECT_EQ(b.tokens, ref.tokens);
-  ASSERT_EQ(b.logits.size(), ref.logits.size());
-  for (std::size_t t = 0; t < b.logits.size(); ++t) {
-    EXPECT_EQ(b.logits[t], ref.logits[t]) << "logits row " << t;
+    // Tokens AND logits, bit for bit.
+    EXPECT_EQ(b.tokens, ref.tokens);
+    ASSERT_EQ(b.logits.size(), ref.logits.size());
+    for (std::size_t t = 0; t < b.logits.size(); ++t) {
+      EXPECT_EQ(b.logits[t], ref.logits[t]) << "logits row " << t;
+    }
+    EXPECT_EQ(auditor.check_idle(), 0u) << auditor.violations().front();
   }
-  EXPECT_EQ(auditor.check_idle(), 0u) << auditor.violations().front();
 }
 
 TEST(ServePrefix, DivergenceIsCopyOnWrite) {
-  nn::TransformerLM model = make_analog_model();
-  const std::uint64_t stream = 555;
-  const std::vector<int> base_prompt = {7, 2, 8, 1, 8, 2, 8};
-  std::vector<int> diverged = base_prompt;
-  diverged[4] = 3;  // shares tokens [0,4), then splits
-  diverged.push_back(6);
+  for (const int threads : kPrefixWidths) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const PoolWidth width(threads);
+    nn::TransformerLM model = make_analog_model(threads);
+    const std::uint64_t stream = 555;
+    const std::vector<int> base_prompt = {7, 2, 8, 1, 8, 2, 8};
+    std::vector<int> diverged = base_prompt;
+    diverged[4] = 3;  // shares tokens [0,4), then splits
+    diverged.push_back(6);
 
-  // Each reference runs on its own scheduler, so nothing is warm.
-  Scheduler cold_div(model, logits_cfg());
-  const RequestRecord ref_div = run_one(cold_div, diverged, stream);
-  Scheduler cold_base(model, logits_cfg());
-  const RequestRecord ref_base = run_one(cold_base, base_prompt, stream);
+    // Each reference runs on its own scheduler, so nothing is warm.
+    Scheduler cold_div(model, logits_cfg());
+    const RequestRecord ref_div = run_one(cold_div, diverged, stream);
+    Scheduler cold_base(model, logits_cfg());
+    const RequestRecord ref_base = run_one(cold_base, base_prompt, stream);
 
-  Scheduler warm(model, logits_cfg());
-  Auditor auditor(warm);
-  const RequestRecord a = run_one(warm, base_prompt, stream);
-  ASSERT_EQ(a.state, RequestState::kFinished);
-  EXPECT_EQ(a.tokens, ref_base.tokens);  // cold == cold sanity
-  // Diverging request: leases only the common prefix, recomputes the
-  // rest, and must match its own cold run.
-  const RequestRecord b = run_one(warm, diverged, stream);
-  EXPECT_EQ(warm.metrics().kv_prefix_hits, 1);
-  EXPECT_EQ(warm.metrics().kv_prefix_hit_tokens, 4);
-  EXPECT_EQ(b.tokens, ref_div.tokens);
-  // Copy-on-write: b's divergence must not have corrupted the published
-  // rows — a third request repeating the ORIGINAL prompt still matches
-  // its cold run while leasing the same entry.
-  const RequestRecord c = run_one(warm, base_prompt, stream);
-  EXPECT_EQ(warm.metrics().kv_prefix_hits, 2);
-  EXPECT_EQ(c.tokens, ref_base.tokens);
-  for (std::size_t t = 0; t < c.logits.size(); ++t) {
-    EXPECT_EQ(c.logits[t], ref_base.logits[t]) << "logits row " << t;
+    Scheduler warm(model, logits_cfg());
+    Auditor auditor(warm);
+    const RequestRecord a = run_one(warm, base_prompt, stream);
+    ASSERT_EQ(a.state, RequestState::kFinished);
+    EXPECT_EQ(a.tokens, ref_base.tokens);  // cold == cold sanity
+    // Diverging request: leases only the common prefix, recomputes the
+    // rest, and must match its own cold run.
+    const RequestRecord b = run_one(warm, diverged, stream);
+    EXPECT_EQ(warm.metrics().kv_prefix_hits, 1);
+    EXPECT_EQ(warm.metrics().kv_prefix_hit_tokens, 4);
+    EXPECT_EQ(b.tokens, ref_div.tokens);
+    // Copy-on-write: b's divergence must not have corrupted the published
+    // rows — a third request repeating the ORIGINAL prompt still matches
+    // its cold run while leasing the same entry.
+    const RequestRecord c = run_one(warm, base_prompt, stream);
+    EXPECT_EQ(warm.metrics().kv_prefix_hits, 2);
+    EXPECT_EQ(c.tokens, ref_base.tokens);
+    for (std::size_t t = 0; t < c.logits.size(); ++t) {
+      EXPECT_EQ(c.logits[t], ref_base.logits[t]) << "logits row " << t;
+    }
+    EXPECT_EQ(auditor.check_idle(), 0u) << auditor.violations().front();
   }
-  EXPECT_EQ(auditor.check_idle(), 0u) << auditor.violations().front();
 }
 
 TEST(ServePrefix, EvictionUnderBudgetPressureKeepsServing) {

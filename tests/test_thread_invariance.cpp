@@ -7,11 +7,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "cim/analog_matmul.hpp"
 #include "core/nora.hpp"
 #include "eval/evaluator.hpp"
+#include "nn/mlp.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
@@ -116,20 +118,68 @@ TEST(ThreadInvariance, DeployedModelLogitsBitIdentical) {
   arch.seed = 21;
   const std::vector<int> tokens{3, 1, 4, 1, 5, 9, 2, 6};
   const eval::SynthLambada task{task_cfg};
-  auto run = [&](int threads) {
-    util::ThreadPool::global().resize(threads);
-    nn::TransformerLM model(arch);
-    core::DeployOptions opts;
-    opts.tile = everything_on(threads);
-    opts.tile.tile_rows = 16;
-    opts.tile.tile_cols = 12;
-    opts.seed = 4040;
-    core::deploy_analog(model, task, opts);
-    return model.infer(tokens);
-  };
-  const Matrix ref = run(1);
-  for (const int threads : {2, 7, 16}) {
-    EXPECT_TRUE(bitwise_equal(run(threads), ref)) << "threads=" << threads;
+  // Both MLP families: the gated one runs SiLU(gate) * up, the default
+  // GELU on up alone, each as its own fan-out.
+  for (const nn::MlpKind kind : {nn::MlpKind::kGelu, nn::MlpKind::kSiluGated}) {
+    arch.mlp_kind = kind;
+    auto run = [&](int threads) {
+      util::ThreadPool::global().resize(threads);
+      nn::TransformerLM model(arch);
+      core::DeployOptions opts;
+      opts.tile = everything_on(threads);
+      opts.tile.tile_rows = 16;
+      opts.tile.tile_cols = 12;
+      opts.seed = 4040;
+      core::deploy_analog(model, task, opts);
+      return model.infer(tokens);
+    };
+    const Matrix ref = run(1);
+    for (const int threads : {2, 7, 16}) {
+      EXPECT_TRUE(bitwise_equal(run(threads), ref))
+          << "mlp_kind=" << static_cast<int>(kind) << " threads=" << threads;
+    }
+  }
+  util::ThreadPool::global().resize(1);
+}
+
+/// The MLP activation fans out in element chunks over the global pool:
+/// for both families, on one row (inline), a few rows (a ragged last
+/// chunk) and many, the keyed forward is bit-identical at every width.
+/// On digital weights it also equals the training forward, which shares
+/// the activation loop.
+TEST(ThreadInvariance, MlpActivationBitIdenticalAcrossWidths) {
+  for (const nn::MlpKind kind : {nn::MlpKind::kGelu, nn::MlpKind::kSiluGated}) {
+    for (const bool analog : {false, true}) {
+      for (const std::int64_t rows : {1, 5, 300}) {
+        const Matrix x = random_matrix(rows, 40, 31 + rows, 1.0f);
+        const auto keys = cim::stream_keys(3, rows);
+        Matrix ref;
+        for (const int threads : {1, 3, 4}) {
+          util::ThreadPool::global().resize(threads);
+          util::Rng rng(52);
+          nn::Mlp mlp("mlp", kind, 40, 72, rng, 0.3f);
+          if (analog) {
+            std::vector<nn::Linear*> lins;
+            mlp.collect_linears(lins);
+            std::uint64_t seed = 60;
+            for (nn::Linear* lin : lins) {
+              lin->to_analog(everything_on(threads), {}, seed++);
+            }
+          }
+          const Matrix y = mlp.forward_keyed(x, keys);
+          const std::string where =
+              "mlp_kind=" + std::to_string(static_cast<int>(kind)) +
+              " analog=" + std::to_string(analog) +
+              " rows=" + std::to_string(rows) +
+              " threads=" + std::to_string(threads);
+          if (threads == 1) ref = y;
+          EXPECT_TRUE(bitwise_equal(y, ref)) << where;
+          if (!analog) {
+            EXPECT_TRUE(bitwise_equal(mlp.forward(x), y)) << where;
+          }
+        }
+      }
+    }
   }
   util::ThreadPool::global().resize(1);
 }

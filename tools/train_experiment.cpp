@@ -2,8 +2,10 @@
 // architecture / task / outlier parameters, to study convergence and the
 // effect of planted outlier channels without touching the model zoo.
 //
-//   ./train_experiment --d=64 --layers=2 --heads=4 --steps=2000 \
+//   ./train_experiment --d=64 --layers=2 --heads=4 --steps=2000
 //       --outlier_frac=0.08 --amp_lo=10 --amp_hi=18 --compensate=1
+//
+// (one command line, wrapped here for width)
 #include <cstdio>
 
 #include "model/families.hpp"
