@@ -158,6 +158,22 @@ void BM_GaussianSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianSampling);
 
+// One tile pass's batched draws: 128 is a Table II 64-column tile MVM
+// (read + output noise per column), 24 a tiny-model 12-column tile.
+// Each pass starts from a fresh keyed stream, as AnalogTile::mvm does.
+void BM_GaussianFill(benchmark::State& state) {
+  std::vector<double> out(static_cast<std::size_t>(state.range(0)));
+  std::uint64_t key = 0;
+  for (auto _ : state) {
+    util::Rng rng(util::derive_stream(15, key++));
+    rng.gaussian_fill(out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GaussianFill)->Arg(24)->Arg(128);
+
 }  // namespace
 
 BENCHMARK_MAIN();

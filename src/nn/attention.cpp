@@ -200,7 +200,34 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
           const std::int64_t gi = seq.pos0 + i;  // global position
           const auto qi = qkv.row(r0[static_cast<std::size_t>(s)] + i);
           float row_max = -1e30f;
-          for (std::int64_t j = 0; j <= gi; ++j) {
+          // Scores eight keys at a time. Each key keeps its own serial
+          // `sc += q[c] * k[c]` chain in the same c order as the one-key
+          // loop (the tail below), which the compiler turns into the same
+          // in-order additions, so every score keeps its bits
+          // (KvCache.BlockedScoresMatchOneKeyAtATimeReference). The eight
+          // independent chains overlap instead of each key waiting on its
+          // own ~4-cycle-per-step chain. Keys are looked up one by one,
+          // so a block may straddle the base/private boundary.
+          constexpr std::int64_t kKeys = 8;
+          const float* const q = qi.data() + off;
+          std::int64_t j = 0;
+          for (; j + kKeys <= gi + 1; j += kKeys) {
+            const float* kp[kKeys];
+            for (std::int64_t l = 0; l < kKeys; ++l) {
+              const std::int64_t jl = j + l;
+              kp[l] = (jl < br ? bk.row(jl) : ks.row(jl - br)).data() + off;
+            }
+            float acc[kKeys] = {};
+            for (std::int64_t c = 0; c < d_head_; ++c) {
+              for (std::int64_t l = 0; l < kKeys; ++l) acc[l] += q[c] * kp[l][c];
+            }
+            for (std::int64_t l = 0; l < kKeys; ++l) {
+              const float sc = acc[l] * scale + bias[gi - j - l];
+              probs[j + l] = sc;
+              row_max = std::max(row_max, sc);
+            }
+          }
+          for (; j <= gi; ++j) {
             const auto kj = j < br ? bk.row(j) : ks.row(j - br);
             float sc = 0.0f;
             for (std::int64_t c = 0; c < d_head_; ++c) {

@@ -20,7 +20,7 @@ Matrix::Matrix(std::int64_t rows, std::int64_t cols, std::vector<float> data)
 void Matrix::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
 void Matrix::fill_gaussian(util::Rng& rng, float stddev) {
-  for (auto& x : data_) x = static_cast<float>(rng.gaussian(0.0, stddev));
+  rng.gaussian_fill(std::span<float>(data_), 0.0, stddev);
 }
 
 void Matrix::fill_uniform(util::Rng& rng, float lo, float hi) {

@@ -107,6 +107,53 @@ double Rng::gaussian(double mean, double stddev) {
   return mean + stddev * gaussian();
 }
 
+void Rng::box_muller_pairs(double* out, std::size_t pairs) {
+  // Three passes over one batch. Every output is the same glibc call on
+  // the same input as in gaussian(); only the order of the independent
+  // sincos calls changes. glibc's sincos branches on the angle's range
+  // and quadrant, and Box-Muller feeds it uniformly random angles, so
+  // in draw order those branches mispredict often. Called in counting-
+  // sort order of the angle's bucket, neighbouring calls take the same
+  // branches.
+  constexpr std::size_t kPairs = kFillBatch / 2;
+  // Measured at 64 pairs, ns per pair: 8 buckets 25.8, 16 28.6,
+  // 32 25.0, 64 24.8, 128 25.7 (draw order: 35.1).
+  constexpr int kAngleBuckets = 32;
+  double r[kPairs], u2[kPairs], sin_t[kPairs], cos_t[kPairs];
+  std::uint8_t order[kPairs];
+  static_assert(kPairs <= 256, "order[] holds 8-bit pair indices");
+  int start[kAngleBuckets + 1] = {};
+  // 1. Uniforms in draw order (u1 with its rejection, then u2), exactly
+  //    as gaussian() consumes them, and the radius of each pair.
+  for (std::size_t j = 0; j < pairs; ++j) {
+    double u1 = 0.0;
+    do {
+      u1 = uniform();
+    } while (u1 <= 1e-300);
+    u2[j] = uniform();
+    r[j] = std::sqrt(-2.0 * std::log(u1));
+    ++start[static_cast<int>(u2[j] * kAngleBuckets) + 1];
+  }
+  // 2. sincos in bucket order (stable within a bucket).
+  for (int b = 0; b < kAngleBuckets; ++b) start[b + 1] += start[b];
+  for (std::size_t j = 0; j < pairs; ++j) {
+    order[start[static_cast<int>(u2[j] * kAngleBuckets)]++] =
+        static_cast<std::uint8_t>(j);
+  }
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const std::size_t j = order[k];
+    const double theta = 2.0 * M_PI * u2[j];
+    ::sincos(theta, &sin_t[j], &cos_t[j]);  // same bits as sin/cos
+  }
+  // 3. The pairs in draw order: cos draw first, sin draw after — the
+  //    same two values, in the same order, as two sequential gaussian()
+  //    calls (the second of which would have come from the cache).
+  for (std::size_t j = 0; j < pairs; ++j) {
+    out[2 * j] = r[j] * cos_t[j];
+    out[2 * j + 1] = r[j] * sin_t[j];
+  }
+}
+
 void Rng::gaussian_fill(std::span<double> out) {
   std::size_t i = 0;
   const std::size_t n = out.size();
@@ -116,22 +163,10 @@ void Rng::gaussian_fill(std::span<double> out) {
     has_cached_gauss_ = false;
     out[i++] = cached_gauss_;
   }
-  // Whole pairs: cos draw returned first, sin draw immediately after —
-  // the same two values, in the same order, as two sequential gaussian()
-  // calls (the second of which would have come from the cache).
   while (i + 1 < n) {
-    double u1 = 0.0;
-    do {
-      u1 = uniform();
-    } while (u1 <= 1e-300);
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    double sin_t = 0.0, cos_t = 0.0;
-    ::sincos(theta, &sin_t, &cos_t);  // same bits as sin/cos, one call
-    out[i] = r * cos_t;
-    out[i + 1] = r * sin_t;
-    i += 2;
+    const std::size_t pairs = std::min(kFillBatch / 2, (n - i) / 2);
+    box_muller_pairs(out.data() + i, pairs);
+    i += 2 * pairs;
   }
   // Odd tail: one more pair, sin half left in the cache for the next
   // draw — identical end state to the sequential call sequence.
@@ -145,28 +180,15 @@ void Rng::gaussian_fill(std::span<float> out, double mean, double stddev) {
     has_cached_gauss_ = false;
     out[i++] = static_cast<float>(mean + stddev * cached_gauss_);
   }
-  // Generate raw standard normals into a chunk buffer, then scale/convert
+  // Generate raw standard normals a batch at a time, then scale/convert
   // through the dispatched kernel. The raw pair values (r*cos, r*sin) are
   // the identical single-rounded products the fused expression formed, and
   // the convert is the fma the compiler contracts `mean + stddev*g` into,
-  // so chunking changes no output bit on either dispatch path.
-  double raw[256];
+  // so batching changes no output bit on either dispatch path.
+  double raw[kFillBatch];
   while (i + 1 < n) {
-    const std::size_t m = std::min<std::size_t>(
-        sizeof(raw) / sizeof(raw[0]), ((n - i) / 2) * 2);
-    for (std::size_t p = 0; p < m; p += 2) {
-      double u1 = 0.0;
-      do {
-        u1 = uniform();
-      } while (u1 <= 1e-300);
-      const double u2 = uniform();
-      const double r = std::sqrt(-2.0 * std::log(u1));
-      const double theta = 2.0 * M_PI * u2;
-      double sin_t = 0.0, cos_t = 0.0;
-      ::sincos(theta, &sin_t, &cos_t);  // same bits as sin/cos, one call
-      raw[p] = r * cos_t;
-      raw[p + 1] = r * sin_t;
-    }
+    const std::size_t m = std::min(kFillBatch, ((n - i) / 2) * 2);
+    box_muller_pairs(raw, m / 2);
     if (simd::use_avx2()) {
       simd::scale_convert_avx2(out.data() + i, raw, m, mean, stddev);
     } else {

@@ -5,6 +5,7 @@
 // xoshiro256** stream so that runs are bit-for-bit reproducible.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -51,14 +52,18 @@ class Rng {
   /// Normal with the given mean / standard deviation.
   double gaussian(double mean, double stddev);
 
+  /// Draws per batched Box-Muller pass of gaussian_fill: whole pairs are
+  /// made at most this many draws at a time.
+  static constexpr std::size_t kFillBatch = 256;
+
   /// Batched standard normals: fills `out` with EXACTLY the sequence
   /// out.size() successive gaussian() calls would produce — including
   /// the Box-Muller pair cache, which is consumed first and left
   /// populated when the total draw count is odd. Interleaving fills and
   /// single draws is therefore bit-identical to an all-single-draw
-  /// sequence; the fill only amortizes the per-call state handling over
-  /// the whole span (the analog hot path drains thousands of draws per
-  /// tile pass).
+  /// sequence. The fill makes its pairs in batches and calls sincos in
+  /// angle order rather than draw order: the same calls on the same
+  /// inputs, so the same bits, only faster (DESIGN.md §9).
   void gaussian_fill(std::span<double> out);
 
   /// Batched scaled draws: equivalent to
@@ -75,6 +80,11 @@ class Rng {
   std::uint64_t seed() const { return seed_; }
 
  private:
+  /// Writes `pairs` (<= kFillBatch / 2) fresh Box-Muller pairs to
+  /// out[0, 2 * pairs), cos half first: what `pairs` uncached gaussian()
+  /// pairs would return.
+  void box_muller_pairs(double* out, std::size_t pairs);
+
   std::uint64_t state_[4];
   std::uint64_t seed_ = 0;
   double cached_gauss_ = 0.0;

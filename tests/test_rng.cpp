@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -112,16 +113,34 @@ TEST(Rng, DeriveSeedLabelSensitive) {
 // The batched fill is the analog hot path's replacement for per-draw
 // gaussian() calls; bit-identity with the sequential sequence — cache
 // semantics included — is what keeps every golden output unchanged.
+// The fill makes its pairs kFillBatch draws at a time and calls sincos
+// in angle order, so the counts straddle the batch, and a sweep of
+// seeds at 128 draws (one 64-column tile pass) reaches every angle
+// bucket and both sides of libm's log branch near 1.
 TEST(Rng, GaussianFillMatchesSequentialDrawsBitForBit) {
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 1001u}) {
-    Rng seq(321), fill(321);
+  constexpr std::size_t b = Rng::kFillBatch;
+  const auto check = [](std::uint64_t seed, std::size_t n) {
+    Rng seq(seed), fill(seed);
     std::vector<double> want(n), got(n);
     for (auto& v : want) v = seq.gaussian();
     fill.gaussian_fill(got);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(want[i], got[i]) << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(want[i], got[i]) << "seed " << seed << " n " << n << " i " << i;
+    }
     // End state identical too: the next draws must agree (this is what
     // proves the odd-count leftover stays in the cache).
-    for (int i = 0; i < 5; ++i) ASSERT_EQ(seq.gaussian(), fill.gaussian()) << n;
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_EQ(seq.gaussian(), fill.gaussian()) << "seed " << seed << " n " << n;
+    }
+  };
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{3}, std::size_t{7}, std::size_t{64},
+                              b - 1, b, b + 1, 2 * b + 3, std::size_t{1001}}) {
+    check(321, n);
+    if (HasFatalFailure()) return;
+  }
+  for (std::uint64_t seed = 0; seed < 1000 && !HasFatalFailure(); ++seed) {
+    check(seed, 128);
   }
 }
 
@@ -146,15 +165,29 @@ TEST(Rng, GaussianFillInterleavesWithSingleDraws) {
 }
 
 TEST(Rng, ScaledGaussianFillMatchesSequentialScaledDraws) {
-  for (const std::size_t n : {1u, 2u, 9u, 128u}) {
-    Rng seq(55), fill(55);
+  constexpr std::size_t b = Rng::kFillBatch;
+  const auto check = [](std::uint64_t seed, std::size_t n) {
+    Rng seq(seed), fill(seed);
     seq.gaussian();   // leave a cached second draw behind
     fill.gaussian();
     std::vector<float> want(n), got(n);
     for (auto& v : want) v = static_cast<float>(seq.gaussian(0.25, 1.75));
     fill.gaussian_fill(got, 0.25, 1.75);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(want[i], got[i]) << n;
-    ASSERT_EQ(seq.gaussian(), fill.gaussian()) << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(want[i], got[i]) << "seed " << seed << " n " << n << " i " << i;
+    }
+    ASSERT_EQ(seq.gaussian(), fill.gaussian()) << "seed " << seed << " n " << n;
+  };
+  // With the cached draw consumed first, n = b + 1 leaves exactly one
+  // full batch, and n = b, b + 2 fall one pair short of or past it.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{9},
+                              std::size_t{128}, b - 1, b, b + 1, b + 2,
+                              2 * b + 3}) {
+    check(55, n);
+    if (HasFatalFailure()) return;
+  }
+  for (std::uint64_t seed = 0; seed < 1000 && !HasFatalFailure(); ++seed) {
+    check(seed, 128);
   }
 }
 
