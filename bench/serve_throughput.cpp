@@ -190,11 +190,23 @@ std::int64_t adc_reads(nn::TransformerLM& model) {
   return n;
 }
 
-/// ADC conversions one token's row costs without retries: each analog
-/// layer's row blocks each read all of its output columns.
-std::int64_t adc_reads_per_token(nn::TransformerLM& model) {
+/// ADC conversions a leased prompt row saves without retries: each
+/// analog layer the row runs through reads all of its row blocks'
+/// output columns. Serving runs the last block past its K/V append, and
+/// the LM head, only on a prompt's last row, and a lease never covers
+/// that row: so the row runs every block's QKV projection, and the out
+/// projection and MLP of every block but the last.
+std::int64_t adc_reads_per_leased_token(nn::TransformerLM& model) {
   std::int64_t n = 0;
-  for (nn::Linear* lin : model.linear_layers()) {
+  std::vector<nn::Linear*> linears;
+  for (nn::TransformerBlock& blk : model.blocks()) {
+    if (&blk == &model.blocks().back()) {
+      linears.push_back(&blk.attention().qkv());
+    } else {
+      blk.collect_linears(linears);
+    }
+  }
+  for (const nn::Linear* lin : linears) {
     if (const cim::AnalogMatmul* a = lin->analog()) {
       n += a->row_blocks() * a->out_dim();
     }
@@ -374,7 +386,7 @@ int main(int argc, char** argv) {
   // freshly deployed tiles without bound management (Table II), so
   // every row costs the same ADC reads and the warm leg must read
   // exactly the skipped prefix rows fewer. Host noise cannot flip it.
-  const std::int64_t per_token = adc_reads_per_token(*model);
+  const std::int64_t per_token = adc_reads_per_leased_token(*model);
   const std::int64_t hit_tokens = pwarm.metrics.kv_prefix_hit_tokens;
   const bool exact_ok = hit_tokens > 0 && pcold.metrics.kv_prefix_hits == 0 &&
                         cold_reads - warm_reads == hit_tokens * per_token;

@@ -112,6 +112,12 @@ class AnalogMatmul {
                            : static_cast<std::int64_t>(blocks_[0].tiles.size());
   }
   std::span<const float> s() const { return s_; }
+  /// True when each output row depends only on its own input row and
+  /// key. False under kAvgAbsMax, whose alpha averages over a stream's
+  /// contiguous rows, so dropping one row would move the others' bits.
+  bool rows_independent() const {
+    return cfg_.scaling != InputScaling::kAvgAbsMax;
+  }
 
   /// Label used in diagnostics/errors (typically the owning layer name).
   void set_label(std::string label) { label_ = std::move(label); }

@@ -14,6 +14,7 @@ CausalSelfAttention::CausalSelfAttention(const std::string& name,
                                          std::int64_t max_seq, util::Rng& rng,
                                          float init_std)
     : name_(name),
+      scores_name_(name + ".scores"),
       d_model_(d_model),
       n_heads_(n_heads),
       d_head_(d_model / n_heads),
@@ -81,10 +82,21 @@ Matrix CausalSelfAttention::forward(const Matrix& x) {
   return out_proj_.forward(concat);
 }
 
-Matrix CausalSelfAttention::forward_serve(const Matrix& x,
-                                          std::span<const AttnServeSeq> seqs,
-                                          std::span<const cim::StreamKey> keys) {
+Matrix CausalSelfAttention::forward_serve(
+    const Matrix& x, std::span<const AttnServeSeq> seqs,
+    std::span<const cim::StreamKey> keys,
+    std::span<const cim::StreamKey> last_keys) {
   const std::int64_t n_seqs = static_cast<std::int64_t>(seqs.size());
+  const bool last_only = !last_keys.empty();
+  if (last_only && last_keys.size() != seqs.size()) {
+    throw std::invalid_argument(
+        "attention forward_serve: one last-row key per segment required");
+  }
+  // First query row of a sequence: its last row when only those are
+  // read. Its output lands at row s (last rows) or r0[s] + i.
+  const auto first_query = [&](const AttnServeSeq& seq) {
+    return last_only ? seq.rows - 1 : std::int64_t{0};
+  };
   // Step scratch, shared by the worker lambdas below — a member (not
   // thread_local) because pool workers must see the main thread's fill.
   // assign() keeps capacity, so steady-state steps don't allocate.
@@ -122,17 +134,21 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
   const Matrix qkv = qkv_.forward_keyed(x, keys);  // [T x 3d], one tile pass
   if (timing::active_trace() != nullptr) {
     // Exact ragged MAC count of the digital score/context arithmetic:
-    // each new row at global position p attends over p + 1 keys, and
-    // QK^T plus P·V each cost ctx * d_model MACs per row.
+    // each attended row at global position p attends over p + 1 keys,
+    // and QK^T plus P·V each cost ctx * d_model MACs per row.
     std::int64_t macs = 0;
+    std::int64_t queries = 0;
     for (const AttnServeSeq& seq : seqs) {
-      macs += 2 * d_model_ *
-              (seq.rows * seq.pos0 + seq.rows * (seq.rows + 1) / 2);
+      const std::int64_t q0 = first_query(seq);
+      const std::int64_t p0 = seq.pos0 + q0;  // first attended position
+      const std::int64_t n = seq.rows - q0;
+      macs += 2 * d_model_ * (n * p0 + n * (n + 1) / 2);
+      queries += n;
     }
     timing::TimingOp op;
     op.kind = timing::OpKind::kAttention;
-    op.layer = name_ + ".scores";
-    op.rows = total;
+    op.layer = scores_name_;
+    op.rows = queries;
     op.k = d_model_;
     op.n = d_model_;
     op.macs = macs;
@@ -155,16 +171,17 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
     c.v.resize_rows(seq.pos0 - seq.base_rows + seq.rows);
   }
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  Matrix concat(total, d_model_);
+  Matrix concat(last_only ? n_seqs : total, d_model_);
   // (sequence x head) fan-out: each item first copies its head's column
-  // slice of the sequence's new K/V rows into the cache, then writes the
-  // head's column slice of its sequence's output rows — both disjoint
-  // across items, and an item reads only its own head's columns — with
-  // the same digital math and accumulation order as forward() over the
-  // whole sequence, so any thread count and any batch composition
-  // produce identical rows. Each item owns its own max_seq-long probs
-  // row, so the scratch grows only with the item count, never with the
-  // history length.
+  // slice of ALL the sequence's new K/V rows into the cache, then writes
+  // the head's column slice of its sequence's attended output rows —
+  // both disjoint across items, and an item reads only its own head's
+  // columns — with the same digital math and accumulation order as
+  // forward() over the whole sequence, so any thread count, any batch
+  // composition and attending only the last row produce identical rows
+  // (a row's output reads the K/V history, never another query row).
+  // Each item owns its own max_seq-long probs row, so the scratch grows
+  // only with the item count, never with the history length.
   const std::size_t probs_len =
       static_cast<std::size_t>(n_seqs * n_heads_ * max_seq_);
   if (serve_probs_.size() < probs_len) serve_probs_.resize(probs_len);
@@ -196,7 +213,9 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
         const Matrix& bv = seq.base != nullptr ? seq.base->v : vs;
         float* const probs = serve_probs_.data() + item * max_seq_;
         const auto bias = rel_bias_.value.row(h);
-        for (std::int64_t i = 0; i < seq.rows; ++i) {
+        const std::int64_t q0 = first_query(seq);
+        const std::int64_t out0 = last_only ? s : r0[static_cast<std::size_t>(s)];
+        for (std::int64_t i = q0; i < seq.rows; ++i) {
           const std::int64_t gi = seq.pos0 + i;  // global position
           const auto qi = qkv.row(r0[static_cast<std::size_t>(s)] + i);
           float row_max = -1e30f;
@@ -243,7 +262,7 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
             denom += probs[j];
           }
           const float inv = 1.0f / denom;
-          auto oi = concat.row(r0[static_cast<std::size_t>(s)] + i);
+          auto oi = concat.row(out0 + i - q0);
           for (std::int64_t j = 0; j <= gi; ++j) {
             const float p = probs[j] * inv;
             const auto vj = j < br ? bv.row(j) : vs.row(j - br);
@@ -253,7 +272,7 @@ Matrix CausalSelfAttention::forward_serve(const Matrix& x,
           }
         }
       });
-  return out_proj_.forward_keyed(concat, keys);
+  return out_proj_.forward_keyed(concat, last_only ? last_keys : keys);
 }
 
 Matrix CausalSelfAttention::backward(const Matrix& dy) {

@@ -47,6 +47,8 @@ class CausalSelfAttention {
                       util::Rng& rng, float init_std);
 
   const std::string& name() const { return name_; }
+  /// Timing-trace name of the digital score/context op.
+  const std::string& scores_name() const { return scores_name_; }
   std::int64_t d_model() const { return d_model_; }
   std::int64_t n_heads() const { return n_heads_; }
 
@@ -69,8 +71,17 @@ class CausalSelfAttention {
   /// is therefore bit-identical however the batch is composed. Throws
   /// std::invalid_argument (naming the layer and max_seq) when a
   /// segment's pos0 + rows exceeds max_seq (see forward()).
+  ///
+  /// `last_keys` selects the rows the caller reads. Empty: every row,
+  /// and the result has x.rows() rows. Otherwise one key per sequence,
+  /// its last row's: every row still runs the QKV projection and
+  /// appends its K/V (later steps attend to them), but only each
+  /// sequence's last row is attended and projected, and the result has
+  /// one row per sequence, bit-identical to that row of the every-row
+  /// result.
   Matrix forward_serve(const Matrix& x, std::span<const AttnServeSeq> seqs,
-                       std::span<const cim::StreamKey> keys);
+                       std::span<const cim::StreamKey> keys,
+                       std::span<const cim::StreamKey> last_keys = {});
 
   Linear& qkv() { return qkv_; }
   Linear& out_proj() { return out_proj_; }
@@ -85,6 +96,9 @@ class CausalSelfAttention {
 
  private:
   std::string name_;
+  // Timing-trace name of the score/context op, built once: at 16+
+  // characters it is past the small-string buffer.
+  std::string scores_name_;
   int timing_chip_ = 0;
   std::int64_t d_model_ = 0;
   std::int64_t n_heads_ = 0;

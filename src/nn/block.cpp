@@ -20,12 +20,36 @@ Matrix TransformerBlock::forward(const Matrix& x) {
   return ops::add(h, mlp_.forward(norm2_.forward(h, /*training=*/true)));
 }
 
-Matrix TransformerBlock::forward_serve(const Matrix& x,
-                                       std::span<const AttnServeSeq> seqs,
-                                       std::span<const cim::StreamKey> keys) {
-  Matrix h =
-      ops::add(x, attn_.forward_serve(norm1_.forward(x), seqs, keys));
-  return ops::add(h, mlp_.forward_keyed(norm2_.forward(h), keys));
+Matrix TransformerBlock::forward_serve(
+    const Matrix& x, std::span<const AttnServeSeq> seqs,
+    std::span<const cim::StreamKey> keys,
+    std::span<const cim::StreamKey> last_keys) {
+  // Residuals add in place into the branch output: a + x has the bits
+  // of x + a, without a third matrix.
+  Matrix h = attn_.forward_serve(norm1_.forward(x), seqs, keys, last_keys);
+  if (last_keys.empty()) {
+    ops::add_inplace(h, x);
+  } else {
+    // h row s is segment s's last row.
+    std::int64_t end = 0;
+    for (std::size_t s = 0; s < seqs.size(); ++s) {
+      end += seqs[s].rows;
+      const auto xr = x.row(end - 1);
+      auto hr = h.row(static_cast<std::int64_t>(s));
+      for (std::int64_t c = 0; c < h.cols(); ++c) hr[c] += xr[c];
+    }
+  }
+  Matrix y = mlp_.forward_keyed(norm2_.forward(h),
+                                last_keys.empty() ? keys : last_keys);
+  ops::add_inplace(y, h);
+  return y;
+}
+
+bool TransformerBlock::rows_independent_after_attention() {
+  const Linear* gate = mlp_.gate();
+  return attn_.out_proj().rows_independent() && mlp_.up().rows_independent() &&
+         (gate == nullptr || gate->rows_independent()) &&
+         mlp_.down().rows_independent();
 }
 
 Matrix TransformerBlock::backward(const Matrix& dy) {

@@ -23,9 +23,17 @@ class TransformerBlock {
   Matrix backward(const Matrix& dy);
   /// KV-cached batched serving forward over several sequences'
   /// segments (see CausalSelfAttention::forward_serve); norms and the
-  /// MLP are row-wise, attention is per-segment.
+  /// MLP are row-wise, attention is per-segment. A non-empty
+  /// `last_keys` (one per segment, its last row's) carries only each
+  /// segment's last row past the K/V append: the result then has one
+  /// row per segment.
   Matrix forward_serve(const Matrix& x, std::span<const AttnServeSeq> seqs,
-                       std::span<const cim::StreamKey> keys);
+                       std::span<const cim::StreamKey> keys,
+                       std::span<const cim::StreamKey> last_keys = {});
+  /// True when every analog layer after the K/V append (out projection
+  /// and MLP) computes each row from that row alone, so running only
+  /// the last rows leaves their bits unchanged.
+  bool rows_independent_after_attention();
 
   Norm& norm1() { return norm1_; }
   Norm& norm2() { return norm2_; }

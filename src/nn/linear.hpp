@@ -29,6 +29,12 @@ class Linear {
   std::int64_t in_dim() const { return w_.value.rows(); }
   std::int64_t out_dim() const { return w_.value.cols(); }
   bool is_analog() const { return analog_ != nullptr; }
+  /// True when the backend computes each output row from its own input
+  /// row alone (see cim::AnalogMatmul::rows_independent); the digital,
+  /// bypass and INT8 paths always do.
+  bool rows_independent() const {
+    return analog_ == nullptr || digital_bypass_ || analog_->rows_independent();
+  }
 
   /// Training forward: forward_keyed on the fp32 GEMM, caching x for
   /// backward. Throws std::logic_error on an analog or INT8 backend.

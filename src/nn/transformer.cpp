@@ -1,5 +1,6 @@
 #include "nn/transformer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -123,7 +124,8 @@ void TransformerLM::backward(const Matrix& dlogits) {
   }
 }
 
-Matrix TransformerLM::forward_serve(std::span<const ServeSegment> segments) {
+Matrix TransformerLM::forward_serve(std::span<const ServeSegment> segments,
+                                   LogitRows logit_rows) {
   // Validate every segment before touching any cache, so a bad request
   // cannot leave the batch half-applied.
   std::int64_t total = 0;
@@ -195,6 +197,26 @@ Matrix TransformerLM::forward_serve(std::span<const ServeSegment> segments) {
     seqs[s] = {nullptr, nullptr, seg.base_len, pos0,
                static_cast<std::int64_t>(seg.tokens.size())};
   }
+  // Last-row logits: when some segment has several rows, only each
+  // segment's last row runs past the last block's K/V append (`prune`),
+  // provided no analog layer from there on couples rows. With one row
+  // per segment (every decode step) the selection is the identity and
+  // nothing here runs.
+  const std::int64_t n_segs = static_cast<std::int64_t>(segments.size());
+  const bool select =
+      logit_rows == LogitRows::kLastPerSegment && total > n_segs;
+  std::vector<cim::StreamKey>& last_keys = serve_last_keys_;
+  last_keys.clear();
+  if (select) {
+    std::int64_t end = 0;
+    for (const AttnServeSeq& seq : seqs) {
+      end += seq.rows;
+      last_keys.push_back(keys[static_cast<std::size_t>(end - 1)]);
+    }
+  }
+  const bool prune = select && !blocks_.empty() &&
+                     blocks_.back().rows_independent_after_attention() &&
+                     lm_head_.rows_independent();
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
     for (std::size_t s = 0; s < segments.size(); ++s) {
       seqs[s].cache = &segments[s].cache->blocks[l];
@@ -202,13 +224,26 @@ Matrix TransformerLM::forward_serve(std::span<const ServeSegment> segments) {
                          ? &segments[s].base->blocks[l]
                          : nullptr;
     }
-    x = blocks_[l].forward_serve(x, seqs, keys);
+    const bool last_block = l + 1 == blocks_.size();
+    x = blocks_[l].forward_serve(
+        x, seqs, keys,
+        prune && last_block ? std::span<const cim::StreamKey>(last_keys)
+                            : std::span<const cim::StreamKey>());
   }
   for (const ServeSegment& seg : segments) {
     seg.cache->length += static_cast<std::int64_t>(seg.tokens.size());
   }
   x = final_norm_.forward(x);
-  return lm_head_.forward_keyed(x, keys);
+  Matrix logits = lm_head_.forward_keyed(x, prune ? last_keys : keys);
+  if (!select || prune) return logits;
+  Matrix last(n_segs, logits.cols());
+  std::int64_t end = 0;
+  for (std::int64_t s = 0; s < n_segs; ++s) {
+    end += seqs[static_cast<std::size_t>(s)].rows;
+    const auto src = logits.row(end - 1);
+    std::copy(src.begin(), src.end(), last.row(s).begin());
+  }
+  return last;
 }
 
 Matrix TransformerLM::infer(std::span<const int> tokens, std::uint64_t stream) {
@@ -228,7 +263,7 @@ std::vector<int> TransformerLM::generate(std::span<const int> prompt,
   seg.cache = &cache;
   std::vector<int> out;
   for (;;) {
-    const Matrix logits = forward_serve({&seg, 1});
+    const Matrix logits = forward_serve({&seg, 1}, LogitRows::kLastPerSegment);
     if (static_cast<int>(out.size()) >= max_new_tokens ||
         cache.length >= cfg_.max_seq) {
       break;

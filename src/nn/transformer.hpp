@@ -76,6 +76,12 @@ class TransformerLM {
     std::int64_t base_len = 0;
   };
 
+  /// Which logits rows a forward_serve caller reads.
+  enum class LogitRows {
+    kEvery,           // one row per input token
+    kLastPerSegment,  // one row per segment: its last token's
+  };
+
   /// KV-cached incremental forward — the one inference path, batched
   /// for continuous serving. Appends every segment's new tokens at its
   /// positions base_len + cache->length.. in ONE pass per linear layer
@@ -88,7 +94,16 @@ class TransformerLM {
   /// segments' logits rows concatenated in segment order and extends
   /// every cache. Throws nn::KvCacheOverflow on capacity/max_seq
   /// violations before touching any state.
-  Matrix forward_serve(std::span<const ServeSegment> segments);
+  ///
+  /// With kLastPerSegment the result has one row per segment, with the
+  /// bits of that segment's last row under kEvery. Every block still
+  /// appends every row's K/V, but the last block attends, projects and
+  /// runs its MLP, and the final norm and LM head run, only on each
+  /// segment's last row — unless a layer there couples rows (kAvgAbsMax
+  /// input scaling), in which case every row runs and the last rows are
+  /// selected from the logits.
+  Matrix forward_serve(std::span<const ServeSegment> segments,
+                       LogitRows logit_rows = LogitRows::kEvery);
 
   /// Greedy decoding over a single-segment forward_serve loop: consume
   /// the prompt once, then emit up to max_new_tokens (bounded by
@@ -128,9 +143,11 @@ class TransformerLM {
   /// capacity so every later in-place append stays allocation-free.
   void init_cache_blocks(KvCache& cache) const;
 
-  // forward_serve step scratch, reused across decode steps (assign
-  // keeps capacity).
+  // forward_serve step scratch, reused across decode steps (assign and
+  // clear keep capacity): every row's key, each segment's last row's
+  // key, and the per-segment attention views.
   std::vector<cim::StreamKey> serve_keys_;
+  std::vector<cim::StreamKey> serve_last_keys_;
   std::vector<AttnServeSeq> serve_seqs_;
 };
 

@@ -597,7 +597,8 @@ bool Scheduler::step() {
     if (hw_timing_) trace_.clear();
     timing::ScopedTrace traced(hw_timing_ ? &trace_ : nullptr);
     if (degraded_step) model_.set_digital_bypass(true);
-    logits = model_.forward_serve(segments_);
+    logits = model_.forward_serve(
+        segments_, nn::TransformerLM::LogitRows::kLastPerSegment);
     if (degraded_step) model_.set_digital_bypass(false);
   }
   const double dt =
@@ -622,16 +623,14 @@ bool Scheduler::step() {
     }
   }
 
-  // 5. Harvest: greedy argmax of each segment's last row. Survivors are
-  // compacted in place (stable order) instead of round-tripping through
-  // a fresh `keep` vector every step.
+  // 5. Harvest: greedy argmax of each segment's last row, which is
+  // logits row idx. Survivors are compacted in place (stable order)
+  // instead of round-tripping through a fresh `keep` vector every step.
   const std::int64_t vocab = model_.config().vocab_size;
-  std::int64_t row = 0;
   std::size_t kept = 0;
   for (std::size_t idx = 0; idx < running_.size(); ++idx) {
     Active& a = running_[idx];
-    row += static_cast<std::int64_t>(a.pending.size());
-    const auto last = logits.row(row - 1);
+    const auto last = logits.row(static_cast<std::int64_t>(idx));
     int best = 0;
     for (std::int64_t v = 1; v < vocab; ++v) {
       if (last[v] > last[best]) best = static_cast<int>(v);

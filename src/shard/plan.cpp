@@ -133,7 +133,7 @@ timing::Trace plan_trace(nn::TransformerLM& model, const PipelinePlan& plan,
                                timing::ShardAxis::kColBlocks));
     timing::TimingOp scores;
     scores.kind = timing::OpKind::kAttention;
-    scores.layer = attn.name() + ".scores";
+    scores.layer = attn.scores_name();
     scores.rows = rows;
     scores.k = d;
     scores.n = d;

@@ -60,7 +60,8 @@ PipelinePlan plan_tensor_parallel(int n_blocks, int n_chips);
 /// with the plan's chip / tensor-parallel stamps, `rows` tokens wide,
 /// attention context ~ctx_hint. This is EXACTLY what the scheduler's
 /// multi-chip replay sees for a decode step of `rows` sequences, so
-/// searching on it optimizes the deployed metric, not a proxy.
+/// searching on it optimizes the deployed metric, not a proxy. The ops
+/// name `model`'s layers by view, so the trace must not outlive it.
 timing::Trace plan_trace(nn::TransformerLM& model, const PipelinePlan& plan,
                          std::int64_t rows, std::int64_t ctx_hint);
 

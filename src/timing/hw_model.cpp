@@ -22,14 +22,14 @@ void check_op(const TimingOp& op) {
   if (op.rows <= 0 || op.k <= 0 || op.n <= 0 || op.row_blocks <= 0 ||
       op.col_blocks <= 0 || op.macs < 0 || op.chip < 0 || op.tp_chips < 1) {
     throw std::invalid_argument("HwModel: malformed timing op for layer '" +
-                                op.layer + "'");
+                                std::string(op.layer) + "'");
   }
 }
 
 }  // namespace
 
 void add_layer_timing(std::vector<LayerTiming>& layers,
-                      const std::string& layer, std::int64_t ps,
+                      std::string_view layer, std::int64_t ps,
                       std::int64_t ops) {
   for (LayerTiming& lt : layers) {
     if (lt.layer == layer) {
@@ -38,7 +38,7 @@ void add_layer_timing(std::vector<LayerTiming>& layers,
       return;
     }
   }
-  layers.push_back(LayerTiming{layer, ps, ops});
+  layers.push_back(LayerTiming{std::string(layer), ps, ops});
 }
 
 void TimingConfig::validate() const {

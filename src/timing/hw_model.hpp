@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cost/cost_model.hpp"  // header-only DeviceCosts struct
@@ -66,7 +67,7 @@ struct StepTiming {
 /// Add `ps` and `ops` to `layer`'s entry, appending a new entry on the
 /// layer's first appearance (so `layers` stays in first-appearance order).
 void add_layer_timing(std::vector<LayerTiming>& layers,
-                      const std::string& layer, std::int64_t ps,
+                      std::string_view layer, std::int64_t ps,
                       std::int64_t ops);
 
 class HwModel {

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,7 +36,10 @@ enum class ShardAxis : std::uint8_t {
 
 struct TimingOp {
   OpKind kind = OpKind::kDigitalGemm;
-  std::string layer;          // e.g. "block0.attn.qkv"
+  // e.g. "blk0.attn.qkv". A view, so recording an op never allocates:
+  // it must name a string that outlives the trace (the layer's own
+  // name member, or a literal).
+  std::string_view layer;
   std::int64_t rows = 0;      // batch rows (tokens) through the op
   std::int64_t k = 0;         // input features
   std::int64_t n = 0;         // output features

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,9 @@
 #include "serve/auditor.hpp"
 #include "serve/kv_cache_pool.hpp"
 #include "serve/scheduler.hpp"
+#include "shard/apply.hpp"
+#include "shard/chip_set.hpp"
+#include "shard/plan.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nora::serve {
@@ -434,6 +438,230 @@ TEST(ServePrefix, DegradedRunsAreNeverPublished) {
   EXPECT_EQ(pool.prefix_published(), 0);
   EXPECT_EQ(pool.used_tokens(), 0);  // recycled exactly like release()
   EXPECT_EQ(pool.total_acquires(), pool.total_releases());
+}
+
+// --- last-row serving: only the rows whose logits are read ------------
+//
+// Serving reads one logits row per segment, so forward_serve with
+// kLastPerSegment runs the last block past its K/V append, and the LM
+// head, only on each segment's last row. Every K/V row and every read
+// logits row must keep its bits, in mixed batches (multi-row prefills,
+// decode rows, a leased prefix) at any pool width, sharded or not, and
+// under kAvgAbsMax, whose per-stream alpha couples a segment's rows so
+// that every row must run.
+
+/// One operating point of the last-row properties.
+struct LastRowCase {
+  int threads = 1;
+  bool sharded = false;
+  cim::InputScaling scaling = cim::InputScaling::kAbsMax;
+
+  std::string name() const {
+    return "threads=" + std::to_string(threads) +
+           " sharded=" + std::to_string(sharded) + " scaling=" +
+           (scaling == cim::InputScaling::kAbsMax ? "abs_max" : "avg_abs_max");
+  }
+};
+
+std::vector<LastRowCase> last_row_cases() {
+  std::vector<LastRowCase> out;
+  for (const int threads : kPrefixWidths) {
+    for (const bool sharded : {false, true}) {
+      for (const cim::InputScaling scaling :
+           {cim::InputScaling::kAbsMax, cim::InputScaling::kAvgAbsMax}) {
+        out.push_back({threads, sharded, scaling});
+      }
+    }
+  }
+  return out;
+}
+
+/// The tiny analog model at `c`: 16-row tiles (d_model 24 spans two row
+/// blocks), on a 2-chip tensor-parallel plan when `c.sharded`.
+nn::TransformerLM make_last_row_model(const LastRowCase& c) {
+  cim::TileConfig tile = cim::TileConfig::paper_table2();
+  tile.tile_rows = 16;
+  tile.tile_cols = 12;
+  tile.in_noise = 0.02f;
+  tile.scaling = c.scaling;
+  tile.n_threads = c.threads;
+  nn::TransformerLM model(tiny_arch());
+  std::uint64_t seed = 900;
+  for (auto* lin : model.linear_layers()) lin->to_analog(tile, {}, seed++);
+  if (c.sharded) {
+    shard::apply_plan(model, shard::ChipSet(2),
+                      shard::plan_tensor_parallel(
+                          static_cast<int>(model.blocks().size()), 2));
+  }
+  return model;
+}
+
+bool rows_bitwise_equal(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+bool matrices_bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+TEST(LastRowServe, LogitsAndKvMatchEveryRowRunInMixedBatches) {
+  const std::vector<int> head = {3, 1, 4, 1, 5, 9, 2};  // leased: 7 rows
+  const std::vector<int> fresh = {2, 7, 1, 8, 2};       // 5-row prefill
+  const std::vector<int> tail = {6, 5, 3, 5};           // after the lease
+  const std::vector<int> decode_a = {4}, decode_b = {8};
+  for (const LastRowCase& c : last_row_cases()) {
+    SCOPED_TRACE(c.name());
+    const PoolWidth width(c.threads);
+    nn::TransformerLM model = make_last_row_model(c);
+    // History: two requests mid-decode, and a published 7-row prefix
+    // (not a multiple of the 16-row tiles) on the leasing stream.
+    nn::KvCache hist_a, hist_b, base;
+    const std::vector<int> prompt_a = {9, 9, 9, 1, 2, 3};
+    const std::vector<int> prompt_b = {5, 4, 3};
+    const nn::TransformerLM::ServeSegment setup[] = {
+        {prompt_a, &hist_a, 21}, {prompt_b, &hist_b, 22}, {head, &base, 23}};
+    model.forward_serve(setup);
+
+    struct Run {
+      Matrix logits;
+      std::vector<nn::KvCache> caches;
+    };
+    const auto run = [&](nn::TransformerLM::LogitRows rows) {
+      Run r;
+      r.caches = {hist_a, nn::KvCache{}, nn::KvCache{}, hist_b};
+      const nn::TransformerLM::ServeSegment segs[] = {
+          {decode_a, &r.caches[0], 21},
+          {fresh, &r.caches[1], 24},
+          {tail, &r.caches[2], 23, &base, static_cast<std::int64_t>(head.size())},
+          {decode_b, &r.caches[3], 22}};
+      r.logits = model.forward_serve(segs, rows);
+      return r;
+    };
+    const Run every = run(nn::TransformerLM::LogitRows::kEvery);
+    const Run last = run(nn::TransformerLM::LogitRows::kLastPerSegment);
+    const std::int64_t seg_rows[] = {1, 5, 4, 1};
+    ASSERT_EQ(every.logits.rows(), 11);
+    ASSERT_EQ(last.logits.rows(), 4);
+    std::int64_t end = 0;
+    for (std::int64_t s = 0; s < 4; ++s) {
+      end += seg_rows[s];
+      EXPECT_TRUE(rows_bitwise_equal(last.logits.row(s),
+                                     every.logits.row(end - 1)))
+          << "segment " << s;
+      const nn::KvCache& a = last.caches[static_cast<std::size_t>(s)];
+      const nn::KvCache& b = every.caches[static_cast<std::size_t>(s)];
+      EXPECT_EQ(a.length, b.length) << "segment " << s;
+      for (std::size_t l = 0; l < a.blocks.size(); ++l) {
+        EXPECT_TRUE(matrices_bitwise_equal(a.blocks[l].k, b.blocks[l].k))
+            << "segment " << s << " block " << l << " K";
+        EXPECT_TRUE(matrices_bitwise_equal(a.blocks[l].v, b.blocks[l].v))
+            << "segment " << s << " block " << l << " V";
+      }
+    }
+  }
+}
+
+TEST(LastRowServe, ScheduledLogitsMatchInferLastRow) {
+  const std::vector<int> head = {3, 1, 4, 1, 5, 9, 2};
+  std::vector<int> leased = head;
+  leased.insert(leased.end(), {6, 5, 3, 5});
+  const std::vector<int> fresh = {2, 7, 1, 8, 2};
+  const std::vector<int> early = {9, 9, 9};
+  for (const LastRowCase& c : last_row_cases()) {
+    SCOPED_TRACE(c.name());
+    const PoolWidth width(c.threads);
+    nn::TransformerLM model = make_last_row_model(c);
+    Scheduler sched(model, logits_cfg());
+    // Publish the 7-row head on stream 23, then serve one step of
+    // `early` so its decode rows share steps with the two prefills.
+    ASSERT_EQ(run_one(sched, head, 23, 1).state, RequestState::kFinished);
+    const auto submit = [&](const std::vector<int>& prompt,
+                            std::uint64_t stream) {
+      RequestParams p;
+      p.prompt = prompt;
+      p.max_new_tokens = 4;
+      p.stream_seed = stream;
+      return sched.submit(std::move(p));
+    };
+    const std::int64_t id_early = submit(early, 21);
+    sched.step();
+    const std::int64_t id_fresh = submit(fresh, 24);
+    const std::int64_t id_leased = submit(leased, 23);
+    sched.run_until_idle();
+    EXPECT_EQ(sched.metrics().kv_prefix_hit_tokens,
+              static_cast<std::int64_t>(head.size()));
+    const struct {
+      std::int64_t id;
+      const std::vector<int>* prompt;
+      std::uint64_t stream;
+    } served[] = {{id_early, &early, 21},
+                  {id_fresh, &fresh, 24},
+                  {id_leased, &leased, 23}};
+    for (const auto& r : served) {
+      const RequestRecord rec = sched.request(r.id);
+      ASSERT_EQ(rec.state, RequestState::kFinished);
+      ASSERT_EQ(rec.logits.size(), 4u);
+      // kAvgAbsMax averages alpha over the rows one call runs per
+      // stream, so only a prompt prefilled in one piece matches a cold
+      // infer, and only at its first token; the leased request is
+      // checked against the every-row forward above instead.
+      const bool avg = c.scaling == cim::InputScaling::kAvgAbsMax;
+      if (avg && r.id == id_leased) continue;
+      std::vector<int> seq = *r.prompt;
+      for (std::size_t t = 0; t < (avg ? 1 : rec.logits.size()); ++t) {
+        const Matrix ref = model.infer(seq, r.stream);
+        EXPECT_TRUE(rows_bitwise_equal(rec.logits[t], ref.row(ref.rows() - 1)))
+            << "request " << r.id << " token " << t;
+        seq.push_back(rec.tokens[t]);
+      }
+    }
+  }
+}
+
+TEST(LastRowServe, PrefillStepReadsLmHeadOncePerSegment) {
+  const std::vector<std::vector<int>> prompts = {
+      {3, 1, 4, 1, 5}, {2, 7, 1, 8}, {9, 9, 9, 1, 2, 3}};
+  const std::int64_t rows = 15;
+  for (const cim::InputScaling scaling :
+       {cim::InputScaling::kAbsMax, cim::InputScaling::kAvgAbsMax}) {
+    const LastRowCase c{1, false, scaling};
+    SCOPED_TRACE(c.name());
+    nn::TransformerLM model = make_last_row_model(c);
+    for (nn::Linear* lin : model.linear_layers()) lin->analog()->reset_stats();
+    Scheduler sched(model, logits_cfg());
+    std::uint64_t stream = 31;
+    for (const std::vector<int>& prompt : prompts) {
+      RequestParams p;
+      p.prompt = prompt;
+      p.max_new_tokens = 2;
+      p.stream_seed = stream++;
+      sched.submit(std::move(p));
+    }
+    sched.step();  // admits and prefills all three
+    // One row costs each row block one read per output column (Table II
+    // tiles: no bound-management retries).
+    const auto reads_per_row = [](nn::Linear& lin) {
+      return lin.analog()->row_blocks() * lin.analog()->out_dim();
+    };
+    const bool prune = scaling == cim::InputScaling::kAbsMax;
+    const std::int64_t segs = static_cast<std::int64_t>(prompts.size());
+    nn::Linear& head = model.lm_head();
+    EXPECT_EQ(head.analog()->adc_reads(),
+              (prune ? segs : rows) * reads_per_row(head));
+    nn::Linear& last_down = model.blocks().back().mlp().down();
+    EXPECT_EQ(last_down.analog()->adc_reads(),
+              (prune ? segs : rows) * reads_per_row(last_down));
+    // Every row's K/V is still appended: the QKV projections and the
+    // earlier blocks run every row.
+    nn::Linear& last_qkv = model.blocks().back().attention().qkv();
+    EXPECT_EQ(last_qkv.analog()->adc_reads(), rows * reads_per_row(last_qkv));
+    nn::Linear& first_down = model.blocks().front().mlp().down();
+    EXPECT_EQ(first_down.analog()->adc_reads(),
+              rows * reads_per_row(first_down));
+    sched.run_until_idle();
+  }
 }
 
 }  // namespace
