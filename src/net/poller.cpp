@@ -1,122 +1,64 @@
 #include "net/poller.hpp"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
-#include <poll.h>
-#include <unistd.h>
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 namespace nora::net {
 
-Poller::Poller(bool force_poll) {
-  const char* env = std::getenv("NORA_NET_FORCE_POLL");
-  if (env != nullptr && env[0] != '\0' && env[0] != '0') force_poll = true;
-#ifdef __linux__
-  if (!force_poll) {
-    epoll_fd_ = ::epoll_create1(0);
-    if (epoll_fd_ < 0) {
-      throw std::runtime_error("net: epoll_create1 failed: " +
-                               std::string(std::strerror(errno)));
-    }
+namespace {
+void epoll_control(int epoll_fd, int op, int fd, std::uint64_t key,
+                   bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.u64 = key;
+  if (::epoll_ctl(epoll_fd, op, fd, &ev) < 0) {
+    throw std::runtime_error(
+        std::string("net: epoll_ctl(") + (op == EPOLL_CTL_ADD ? "ADD" : "MOD") +
+        ") failed: " + std::strerror(errno));
   }
-#else
-  (void)force_poll;
-#endif
+}
+}  // namespace
+
+Poller::Poller() : epoll_fd_(::epoll_create1(0)) {
+  if (epoll_fd_ < 0) {
+    throw std::runtime_error("net: epoll_create1 failed: " +
+                             std::string(std::strerror(errno)));
+  }
 }
 
-Poller::~Poller() {
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-}
+Poller::~Poller() { ::close(epoll_fd_); }
 
 void Poller::add(int fd, std::uint64_t key, bool want_read, bool want_write) {
-  interest_[fd] = Interest{key, want_read, want_write};
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.u64 = key;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      throw std::runtime_error("net: epoll_ctl(ADD) failed: " +
-                               std::string(std::strerror(errno)));
-    }
-  }
-#endif
+  epoll_control(epoll_fd_, EPOLL_CTL_ADD, fd, key, want_read, want_write);
 }
 
 void Poller::modify(int fd, std::uint64_t key, bool want_read,
                     bool want_write) {
-  interest_[fd] = Interest{key, want_read, want_write};
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.u64 = key;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) < 0) {
-      throw std::runtime_error("net: epoll_ctl(MOD) failed: " +
-                               std::string(std::strerror(errno)));
-    }
-  }
-#endif
+  epoll_control(epoll_fd_, EPOLL_CTL_MOD, fd, key, want_read, want_write);
 }
 
 void Poller::remove(int fd) {
-  interest_.erase(fd);
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);  // best-effort
-  }
-#endif
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);  // best-effort
 }
 
 int Poller::wait(std::vector<Event>& out, int timeout_ms) {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event evs[256];
-    const int n = ::epoll_wait(epoll_fd_, evs, 256, timeout_ms);
-    if (n <= 0) return 0;  // timeout or EINTR
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.key = evs[i].data.u64;
-      e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      e.writable = (evs[i].events & EPOLLOUT) != 0;
-      e.error = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(e);
-    }
-    return n;
-  }
-#endif
-  // poll(2) fallback.
-  std::vector<pollfd> fds;
-  std::vector<std::uint64_t> keys;
-  fds.reserve(interest_.size());
-  keys.reserve(interest_.size());
-  for (const auto& [fd, in] : interest_) {
-    pollfd p{};
-    p.fd = fd;
-    p.events = static_cast<short>((in.want_read ? POLLIN : 0) |
-                                  (in.want_write ? POLLOUT : 0));
-    fds.push_back(p);
-    keys.push_back(in.key);
-  }
-  const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-  if (n <= 0) return 0;
-  int count = 0;
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (fds[i].revents == 0) continue;
+  epoll_event evs[256];
+  const int n = ::epoll_wait(epoll_fd_, evs, 256, timeout_ms);
+  if (n <= 0) return 0;  // timeout or EINTR
+  for (int i = 0; i < n; ++i) {
     Event e;
-    e.key = keys[i];
-    e.readable = (fds[i].revents & (POLLIN | POLLHUP)) != 0;
-    e.writable = (fds[i].revents & POLLOUT) != 0;
-    e.error = (fds[i].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    e.key = evs[i].data.u64;
+    e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP)) != 0;
+    e.writable = (evs[i].events & EPOLLOUT) != 0;
+    e.error = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
     out.push_back(e);
-    ++count;
   }
-  return count;
+  return n;
 }
 
 }  // namespace nora::net

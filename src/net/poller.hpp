@@ -1,15 +1,9 @@
-// Readiness notification: epoll on Linux with a poll(2) fallback.
-//
-// The fallback is selectable at runtime (Poller(force_poll=true) or
-// NORA_NET_FORCE_POLL=1) so the poll path stays exercised on the same
-// CI machines that run the epoll path — a fallback that only compiles
-// on platforms nobody tests is a fallback that does not work.
-// Level-triggered semantics on both paths: the server re-arms interest
-// per connection as its write buffer fills and drains.
+// Readiness notification over epoll (the code is Linux-only, so epoll
+// always exists). Level-triggered: the server re-arms interest per
+// connection as its write buffer fills and drains.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace nora::net {
@@ -23,7 +17,7 @@ class Poller {
     bool error = false;  // HUP / ERR: the connection needs tearing down
   };
 
-  explicit Poller(bool force_poll = false);
+  Poller();
   ~Poller();
 
   Poller(const Poller&) = delete;
@@ -39,16 +33,8 @@ class Poller {
   /// to the caller's shutdown check.
   int wait(std::vector<Event>& out, int timeout_ms);
 
-  bool using_epoll() const { return epoll_fd_ >= 0; }
-
  private:
-  int epoll_fd_ = -1;  // -1 = poll fallback
-  struct Interest {
-    std::uint64_t key;
-    bool want_read;
-    bool want_write;
-  };
-  std::unordered_map<int, Interest> interest_;  // poll fallback bookkeeping
+  int epoll_fd_ = -1;
 };
 
 }  // namespace nora::net

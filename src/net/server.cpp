@@ -726,7 +726,7 @@ int HttpServer::port() const {
 
 int HttpServer::run() {
   listen();
-  poller_ = std::make_unique<Poller>(cfg_.force_poll);
+  poller_ = std::make_unique<Poller>();
   poller_->add(listener_->fd(), kListenerKey, /*want_read=*/true,
                /*want_write=*/false);
   if (shutdown_wake_fd() >= 0) {

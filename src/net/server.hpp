@@ -103,7 +103,6 @@ struct ServerConfig {
   /// pump()/run() drive Scheduler::step(). Set false when an outer
   /// harness (the chaos soak) owns the step loop.
   bool step_scheduler = true;
-  bool force_poll = false;  // use the poll(2) path even where epoll exists
   /// Requests that do not pass an explicit "stream_seed" get one derived
   /// from a fingerprint of their prompt's leading tokens instead of the
   /// scheduler's per-request-id default. Same prompt head -> same noise

@@ -302,6 +302,16 @@ bool TransformerLM::is_analog() const {
   return false;
 }
 
+bool TransformerLM::rows_independent() {
+  for (TransformerBlock& block : blocks_) {
+    if (!block.attention().qkv().rows_independent() ||
+        !block.rows_independent_after_attention()) {
+      return false;
+    }
+  }
+  return lm_head_.rows_independent();
+}
+
 void TransformerLM::to_digital() {
   for (auto* lin : linear_layers()) lin->to_digital();
 }

@@ -122,6 +122,10 @@ class TransformerLM {
 
   /// True if any linear layer currently runs on an analog backend.
   bool is_analog() const;
+  /// True when every linear layer computes each row from that row alone
+  /// (Linear::rows_independent), so a row's bits do not depend on which
+  /// other rows share its call. Prefix reuse is exact only then.
+  bool rows_independent();
   /// Revert every linear layer to the digital backend.
   void to_digital();
   /// Route every linear layer through its exact fp32 GEMM without

@@ -84,10 +84,8 @@ std::size_t Auditor::audit(const AuditSnapshot& s, bool idle) {
   expect(n_running == static_cast<std::int64_t>(s.running), step,
          "running records " + std::to_string(n_running) + " != batch " +
              std::to_string(s.running));
-  // queue_ may briefly hold stale ids of requests cancelled/expired while
-  // queued (dropped lazily at the next admission scan), so <=, not ==.
-  expect(n_queued <= static_cast<std::int64_t>(s.queued), step,
-         "queued records " + std::to_string(n_queued) + " > queue size " +
+  expect(n_queued == static_cast<std::int64_t>(s.queued), step,
+         "queued records " + std::to_string(n_queued) + " != queue size " +
              std::to_string(s.queued));
   expect(n_finished == s.metrics.finished, step,
          "finished records " + std::to_string(n_finished) + " != metric " +

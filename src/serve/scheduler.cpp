@@ -126,6 +126,12 @@ std::int64_t Scheduler::backoff_steps_locked(std::int64_t id,
   return std::max<std::int64_t>(b, 1);
 }
 
+bool Scheduler::expired_locked(std::int64_t id, const RequestParams& p) const {
+  return p.deadline_steps > 0 &&
+         step_ >= records_[static_cast<std::size_t>(id)].submit_step +
+                      p.deadline_steps;
+}
+
 void Scheduler::emit_token_locked(std::int64_t id, int token, bool degraded) {
   if (!cfg_.record_events) return;
   ServeEvent e;
@@ -224,13 +230,7 @@ std::int64_t Scheduler::submit(RequestParams params) {
 
   rec.state = RequestState::kQueued;
   records_.push_back(std::move(rec));
-  // Stash the params on the record's running twin at admission time; the
-  // queue holds only ids, the prompt lives in params_.
-  Pending p;
-  p.id = id;
-  p.params = std::move(params);
-  params_.push_back(std::move(p));
-  queue_.push_back(id);
+  queue_.push_back({id, std::move(params), 0});
   return id;
 }
 
@@ -266,9 +266,12 @@ void Scheduler::retire_locked(Active& a, RequestState state) {
     // but only from a COLD, UNTAINTED run: a leased base means the slab
     // lacks the prefix rows, and any digital-bypass token means some
     // rows came off the fp32 path and would break the bit-identical-to-
-    // cold-run contract for a future reader.
+    // cold-run contract for a future reader. Row-coupled input scaling
+    // (kAvgAbsMax) breaks that contract too: a row's bits depend on the
+    // rows that shared its call.
     const bool publish = state == RequestState::kFinished &&
-                         a.base == nullptr && rec.degraded_tokens == 0;
+                         a.base == nullptr && rec.degraded_tokens == 0 &&
+                         model_.rows_independent();
     if (publish) {
       pool_.publish_prefix(rec.stream, a.origin.prompt, a.cache);
     } else {
@@ -313,14 +316,10 @@ void Scheduler::requeue_locked(Active& a) {
     a.base = nullptr;
   }
   ++metrics_.retries;
-  Pending p;
-  p.id = a.id;
-  p.params = std::move(a.origin);
-  p.attempt = a.attempt + 1;
-  p.not_before = step_ + backoff_steps_locked(a.id, p.attempt);
   ++rec.attempts;
-  params_.push_back(std::move(p));
-  queue_.push_back(a.id);
+  queue_.push_back(
+      {a.id, std::move(a.origin),
+       step_ + backoff_steps_locked(a.id, rec.attempts)});
   emit_discard_locked(a.id);
 }
 
@@ -349,22 +348,16 @@ bool Scheduler::admit_locked() {
   std::size_t scan_end = queue_.size();
   while (qi < scan_end &&
          static_cast<int>(running_.size()) < cfg_.max_batch) {
-    const std::int64_t id = queue_[qi];
-    RequestRecord& rec = records_[static_cast<std::size_t>(id)];
-    auto pit = std::find_if(params_.begin(), params_.end(),
-                            [&](const Pending& p) { return p.id == id; });
-    if (rec.state != RequestState::kQueued || pit == params_.end()) {
-      // Cancelled / expired while queued; params already dropped.
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(qi));
-      --scan_end;
-      continue;
-    }
-    if (pit->not_before > step_) {
+    Pending& p = queue_[qi];
+    if (p.not_before > step_) {
       ++qi;  // still backing off; younger requests may overtake
       continue;
     }
+    const std::int64_t id = p.id;
+    RequestRecord& rec = records_[static_cast<std::size_t>(id)];
+    const auto at = queue_.begin() + static_cast<std::ptrdiff_t>(qi);
     const std::int64_t prompt_len =
-        static_cast<std::int64_t>(pit->params.prompt.size());
+        static_cast<std::int64_t>(p.params.prompt.size());
     if (latency_aware && prefill_taken > 0 &&
         prefill_taken + prompt_len > prefill_budget) {
       // Budget spent: later arrivals prefill on subsequent steps. Stop
@@ -375,10 +368,13 @@ bool Scheduler::admit_locked() {
     // Prefix lease first: a hit shrinks both the prefill (only the
     // suffix is computed) and the private slab the budget must cover.
     // The request's own stream key is what makes the shared rows
-    // bit-identical to the prefill it skips.
+    // bit-identical to the prefill it skips — unless some layer couples
+    // rows, in which case the request is prefilled cold.
     const KvCachePool::PrefixLease pl =
-        pool_.lease_prefix(rec.stream, pit->params.prompt);
-    nn::KvCache* cache = pool_.acquire(footprint(pit->params) - pl.tokens);
+        model_.rows_independent()
+            ? pool_.lease_prefix(rec.stream, p.params.prompt)
+            : KvCachePool::PrefixLease{};
+    nn::KvCache* cache = pool_.acquire(footprint(p.params) - pl.tokens);
     if (cache == nullptr) {
       if (pl.base != nullptr) pool_.release_prefix(pl.base);
       if (!cfg_.reject_on_pool_full) {
@@ -386,32 +382,30 @@ bool Scheduler::admit_locked() {
         // a smaller request overtake the head of the queue.
         break;
       }
-      if (pit->attempt < cfg_.retry.max_attempts) {
+      --scan_end;
+      if (rec.attempts < cfg_.retry.max_attempts) {
         // Transient: schedule another attempt with backoff instead of
         // failing the request outright. It moves to the back of the
         // queue — it forfeits its position for this attempt.
-        pit->attempt += 1;
-        pit->not_before = step_ + backoff_steps_locked(id, pit->attempt);
         ++rec.attempts;
         ++metrics_.retries;
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(qi));
-        --scan_end;
-        queue_.push_back(id);
+        p.not_before = step_ + backoff_steps_locked(id, rec.attempts);
+        Pending retry = std::move(p);
+        queue_.erase(at);
+        queue_.push_back(std::move(retry));
         continue;
       }
-      const bool retried = pit->attempt > 1;
+      const bool retried = rec.attempts > 1;
       reject_locked(
           rec,
           retried ? ServeError::kRetryBudgetExhausted
                   : ServeError::kPoolExhausted,
-          retried ? "pool still full after " + std::to_string(pit->attempt) +
+          retried ? "pool still full after " + std::to_string(rec.attempts) +
                         " attempts"
-                  : "KV footprint " + std::to_string(footprint(pit->params)) +
+                  : "KV footprint " + std::to_string(footprint(p.params)) +
                         " > " + std::to_string(pool_.free_tokens()) +
                         " free tokens");
-      params_.erase(pit);
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(qi));
-      --scan_end;
+      queue_.erase(at);
       continue;
     }
     rec.state = RequestState::kRunning;
@@ -427,8 +421,7 @@ bool Scheduler::admit_locked() {
     a.cache = cache;
     a.base = pl.base;
     a.base_len = pl.tokens;
-    a.attempt = pit->attempt;
-    a.origin = std::move(pit->params);
+    a.origin = std::move(p.params);
     // Prefill only the suffix past the shared prefix; its rows join the
     // leased base rows to form the full global history.
     a.pending.assign(a.origin.prompt.begin() +
@@ -439,11 +432,7 @@ bool Scheduler::admit_locked() {
     // harvesting never regrows the record mid-decode.
     rec.tokens.reserve(static_cast<std::size_t>(std::min<std::int64_t>(
         a.remaining, model_.config().max_seq)));
-    a.deadline_step = a.origin.deadline_steps > 0
-                          ? rec.submit_step + a.origin.deadline_steps
-                          : -1;
-    params_.erase(pit);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(qi));
+    queue_.erase(at);
     --scan_end;
     running_.push_back(std::move(a));
     admitted_any = true;
@@ -461,7 +450,8 @@ void Scheduler::open_maintenance_locked() {
     // queue; the rest stay and finish on the digital bypass — a window
     // may degrade or delay a request but never drop one.
     for (auto it = running_.begin(); it != running_.end();) {
-      if (it->attempt < cfg_.retry.max_attempts) {
+      if (records_[static_cast<std::size_t>(it->id)].attempts <
+          cfg_.retry.max_attempts) {
         requeue_locked(*it);
         it = running_.erase(it);
       } else {
@@ -490,7 +480,7 @@ bool Scheduler::step() {
   // a second cancel of the same id re-checks the state too). Requeues
   // (maintenance drain, pool retry) flip the record back to kQueued
   // under the same lock before the next door check, so a cancel landing
-  // after a requeue takes the queued door and drops the pending params.
+  // after a requeue takes the queued door and drops the queue entry.
   // The KvCachePool::release throw on a non-live lease is the backstop
   // asserting this invariant, and the cancel-at-every-step and chaos
   // racing-cancel tests hammer it.
@@ -500,11 +490,8 @@ bool Scheduler::step() {
       rec.state = RequestState::kCancelled;
       rec.finish_step = step_;
       ++metrics_.cancelled;
-      params_.erase(std::remove_if(params_.begin(), params_.end(),
-                                   [&](const Pending& p) {
-                                     return p.id == id;
-                                   }),
-                    params_.end());
+      queue_.erase(std::find_if(queue_.begin(), queue_.end(),
+                                [&](const Pending& p) { return p.id == id; }));
       emit_terminal_locked(id, RequestState::kCancelled, rec.error);
     } else if (rec.state == RequestState::kRunning) {
       auto it = std::find_if(running_.begin(), running_.end(),
@@ -520,31 +507,23 @@ bool Scheduler::step() {
   // deadline is absolute from the original submission, so retried
   // attempts and maintenance stalls eat into the same budget.
   for (auto it = running_.begin(); it != running_.end();) {
-    if (it->deadline_step >= 0 && step_ >= it->deadline_step) {
+    if (expired_locked(it->id, it->origin)) {
       retire_locked(*it, RequestState::kExpired);
       it = running_.erase(it);
     } else {
       ++it;
     }
   }
-  for (auto qit = queue_.begin(); qit != queue_.end();) {
-    const std::int64_t id = *qit;
-    RequestRecord& rec = records_[static_cast<std::size_t>(id)];
-    auto pit = std::find_if(params_.begin(), params_.end(),
-                            [&](const Pending& p) { return p.id == id; });
-    const bool expired =
-        rec.state == RequestState::kQueued && pit != params_.end() &&
-        pit->params.deadline_steps > 0 &&
-        step_ >= rec.submit_step + pit->params.deadline_steps;
-    if (expired) {
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    if (expired_locked(it->id, it->params)) {
+      RequestRecord& rec = records_[static_cast<std::size_t>(it->id)];
       rec.state = RequestState::kExpired;
       rec.finish_step = step_;
       ++metrics_.expired;
-      params_.erase(pit);
-      qit = queue_.erase(qit);
-      emit_terminal_locked(id, RequestState::kExpired, rec.error);
+      emit_terminal_locked(it->id, RequestState::kExpired, rec.error);
+      it = queue_.erase(it);
     } else {
-      ++qit;
+      ++it;
     }
   }
   // 3. Admission (paused while a maintenance window is open).

@@ -195,8 +195,8 @@ struct SchedulerConfig {
   int max_batch = 8;
   /// KV pool budget in tokens; 0 = max_batch * model max_seq.
   std::int64_t kv_budget_tokens = 0;
-  /// Max requests waiting in the queue (admitted + running excluded);
-  /// submissions beyond this are rejected. 0 = unbounded.
+  /// Max kQueued requests (backoff included; running and terminal ones
+  /// excluded); submissions beyond this are rejected. 0 = unbounded.
   std::size_t queue_capacity = 0;
   /// When the pool cannot hold a request's worst-case footprint at
   /// admission time: true = reject it (or retry it, if the RetryPolicy
@@ -265,7 +265,7 @@ struct SchedulerConfig {
 struct AuditSnapshot {
   std::int64_t step = 0;
   bool in_maintenance = false;
-  std::size_t queued = 0;   // ids waiting (incl. backoff)
+  std::size_t queued = 0;   // kQueued requests (incl. backoff)
   std::size_t running = 0;  // ids holding a slab
   std::vector<RequestState> states;        // indexed by request id
   std::vector<std::int64_t> token_counts;  // tokens.size() per id
@@ -317,7 +317,7 @@ class Scheduler {
   std::vector<RequestRecord> completed() const;
 
   std::int64_t current_step() const;
-  /// Running + queued request count.
+  /// Running + queued request count (terminal requests excluded).
   std::size_t in_flight() const;
   /// True while a maintenance window is open (admission paused,
   /// in-flight decode on the digital bypass).
@@ -352,15 +352,13 @@ class Scheduler {
     std::int64_t base_len = 0;
     std::vector<int> pending;      // tokens to feed next step
     int remaining = 0;             // new tokens still to emit
-    std::int64_t deadline_step = -1;  // absolute; -1 = none
-    int attempt = 1;               // which attempt this run is
     RequestParams origin;          // full params, kept for requeue/retry
   };
-  /// Accepted-but-not-admitted request payloads (queue_ holds only ids).
+  /// A request waiting for admission. The attempt number lives in its
+  /// RequestRecord::attempts.
   struct Pending {
     std::int64_t id = -1;
     RequestParams params;
-    int attempt = 1;               // 1 = original submission
     std::int64_t not_before = 0;   // backoff: not admitted before this step
   };
 
@@ -372,6 +370,8 @@ class Scheduler {
                             ServeError error);
   void emit_discard_locked(std::int64_t id);
   bool in_maintenance_locked() const { return step_ < maintenance_until_; }
+  /// True once `id`'s deadline (absolute from its submission) has passed.
+  bool expired_locked(std::int64_t id, const RequestParams& p) const;
   /// Backoff (incl. keyed jitter) before the given attempt of `id`.
   std::int64_t backoff_steps_locked(std::int64_t id, int attempt) const;
   void reject_locked(RequestRecord& rec, ServeError code, std::string detail);
@@ -395,8 +395,7 @@ class Scheduler {
   std::int64_t next_id_ = 0;
   std::int64_t step_ = 0;
   std::int64_t maintenance_until_ = 0;  // window open while step_ < this
-  std::deque<std::int64_t> queue_;    // ids waiting for admission
-  std::vector<Pending> params_;       // payloads of queued requests
+  std::deque<Pending> queue_;         // exactly the kQueued requests, FIFO
   std::vector<Active> running_;       // current batch, admission order
   // step() batch scratch: rebuilt each step, capacity reused. Only
   // step() touches it (step is single-caller; submit/cancel don't).

@@ -590,8 +590,15 @@ TEST(LastRowServe, ScheduledLogitsMatchInferLastRow) {
     const std::int64_t id_fresh = submit(fresh, 24);
     const std::int64_t id_leased = submit(leased, 23);
     sched.run_until_idle();
-    EXPECT_EQ(sched.metrics().kv_prefix_hit_tokens,
-              static_cast<std::int64_t>(head.size()));
+    // Under kAvgAbsMax, whose alpha couples the rows of one call, the
+    // scheduler neither publishes nor leases: `leased` is prefilled cold,
+    // so no earlier traffic enters its bits.
+    const bool avg = c.scaling == cim::InputScaling::kAvgAbsMax;
+    const Metrics m = sched.metrics();
+    EXPECT_EQ(m.kv_prefix_hits, avg ? 0 : 1);
+    EXPECT_EQ(m.kv_prefix_hit_tokens,
+              avg ? 0 : static_cast<std::int64_t>(head.size()));
+    EXPECT_EQ(m.kv_prefix_published, avg ? 0 : 3);  // all but `leased`
     const struct {
       std::int64_t id;
       const std::vector<int>* prompt;
@@ -604,11 +611,8 @@ TEST(LastRowServe, ScheduledLogitsMatchInferLastRow) {
       ASSERT_EQ(rec.state, RequestState::kFinished);
       ASSERT_EQ(rec.logits.size(), 4u);
       // kAvgAbsMax averages alpha over the rows one call runs per
-      // stream, so only a prompt prefilled in one piece matches a cold
-      // infer, and only at its first token; the leased request is
-      // checked against the every-row forward above instead.
-      const bool avg = c.scaling == cim::InputScaling::kAvgAbsMax;
-      if (avg && r.id == id_leased) continue;
+      // stream, so a prompt prefilled in one piece matches a cold infer
+      // only at its first token.
       std::vector<int> seq = *r.prompt;
       for (std::size_t t = 0; t < (avg ? 1 : rec.logits.size()); ++t) {
         const Matrix ref = model.infer(seq, r.stream);

@@ -154,7 +154,7 @@ TEST(MatmulAllocs, DecodeStepAllocationsArePinned) {
   constexpr int kThreads = 4;
   constexpr int kWarmSteps = 6;
   constexpr int kWindowSteps = 16;
-  constexpr std::int64_t kMaxAllocsPerStep = 93;
+  constexpr std::int64_t kMaxAllocsPerStep = 85;
   util::ThreadPool::global().resize(kThreads);
   nn::TransformerConfig arch;
   arch.vocab_size = 64;

@@ -330,14 +330,14 @@ TEST(ServeErrorMapping, CoversEveryCode) {
 }
 
 // ---------------------------------------------------------------------
-// Poller (real fds, both backends)
+// Poller (real fds)
 // ---------------------------------------------------------------------
 
-void poller_smoke(bool force_poll) {
+TEST(Poller, EpollBackend) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   {
-    Poller poller(force_poll);
+    Poller poller;
     poller.add(fds[0], /*key=*/42, /*want_read=*/true, /*want_write=*/false);
     std::vector<Poller::Event> events;
     poller.wait(events, 0);
@@ -352,9 +352,6 @@ void poller_smoke(bool force_poll) {
   ::close(fds[0]);
   ::close(fds[1]);
 }
-
-TEST(Poller, EpollBackend) { poller_smoke(false); }
-TEST(Poller, PollBackend) { poller_smoke(true); }
 
 // ---------------------------------------------------------------------
 // SimTransport

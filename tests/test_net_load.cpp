@@ -238,7 +238,7 @@ class LoadGen {
   }
 
   int port_;
-  Poller poller_{/*force_poll=*/false};
+  Poller poller_;
   ConnMap conns_;
   std::vector<Poller::Event> events_;
   std::uint64_t next_key_ = 1;

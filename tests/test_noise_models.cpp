@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "noise/additive.hpp"
 #include "noise/drift.hpp"
 #include "noise/ir_drop.hpp"
 #include "noise/programming.hpp"
@@ -14,26 +13,6 @@
 
 namespace nora::noise {
 namespace {
-
-TEST(AdditiveGaussian, DisabledIsIdentity) {
-  AdditiveGaussian g(0.0f);
-  util::Rng rng(1);
-  EXPECT_EQ(g.apply(1.5f, rng), 1.5f);
-}
-
-TEST(AdditiveGaussian, MomentsMatchSigma) {
-  AdditiveGaussian g(0.25f);
-  util::Rng rng(2);
-  const int n = 30000;
-  double sum = 0.0, sq = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double d = g.apply(0.0f, rng);
-    sum += d;
-    sq += d * d;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.005);
-  EXPECT_NEAR(std::sqrt(sq / n), 0.25, 0.01);
-}
 
 TEST(SShape, DisabledIsIdentity) {
   const SShapeNonlinearity s(0.0f);
@@ -225,9 +204,6 @@ TEST(NoiseCtors, RejectNonFiniteParameters) {
   EXPECT_THROW(ShortTermReadNoise{nan}, std::invalid_argument);
   EXPECT_THROW(ShortTermReadNoise{inf}, std::invalid_argument);
   EXPECT_THROW(ShortTermReadNoise{-0.1f}, std::invalid_argument);
-  EXPECT_THROW(AdditiveGaussian{nan}, std::invalid_argument);
-  EXPECT_THROW(AdditiveGaussian{inf}, std::invalid_argument);
-  EXPECT_THROW(AdditiveGaussian{-0.1f}, std::invalid_argument);
   EXPECT_THROW(ProgrammingNoise{nan}, std::invalid_argument);
   EXPECT_THROW(ProgrammingNoise{inf}, std::invalid_argument);
   EXPECT_THROW(ProgrammingNoise{-1.0f}, std::invalid_argument);
@@ -248,7 +224,6 @@ TEST(NoiseCtors, RejectNonFiniteParameters) {
   // Defaults and in-range values stay accepted.
   EXPECT_NO_THROW(PcmDriftModel{DriftConfig{}});
   EXPECT_NO_THROW(ShortTermReadNoise{0.0175f});
-  EXPECT_NO_THROW(AdditiveGaussian{0.0f});
   EXPECT_NO_THROW(ProgrammingNoise{1.0f});
 }
 

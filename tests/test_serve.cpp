@@ -9,6 +9,7 @@
 // mid-serve integrity-monitor hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -350,6 +351,37 @@ TEST(Scheduler, QueueCapacityRejectsOverflow) {
   const auto c = sched.submit(RequestParams(p));
   EXPECT_EQ(sched.request(c).state, RequestState::kRejected);
   EXPECT_EQ(sched.request(c).error, ServeError::kQueueFull);
+}
+
+TEST(Scheduler, CancelledQueuedRequestsLeaveTheQueueAtOnce) {
+  // A full batch with two queued requests, both cancelled: after the
+  // next step nothing waits, so in_flight() counts only the running one
+  // and the queue has room for a new submission.
+  nn::TransformerLM model(tiny_arch());
+  SchedulerConfig cfg;
+  cfg.max_batch = 1;
+  cfg.queue_capacity = 2;
+  Scheduler sched(model, cfg);
+  RequestParams p;
+  p.prompt = {1, 2};
+  p.max_new_tokens = 6;
+  const auto running = sched.submit(RequestParams(p));
+  sched.step();
+  const auto b = sched.submit(RequestParams(p));
+  const auto c = sched.submit(RequestParams(p));
+  EXPECT_TRUE(sched.cancel(b));
+  EXPECT_TRUE(sched.cancel(c));
+  sched.step();
+  EXPECT_EQ(sched.request(running).state, RequestState::kRunning);
+  EXPECT_EQ(sched.request(b).state, RequestState::kCancelled);
+  EXPECT_EQ(sched.request(c).state, RequestState::kCancelled);
+  EXPECT_EQ(sched.in_flight(), 1u);
+  EXPECT_EQ(sched.audit_snapshot().queued, 0u);
+  const auto d = sched.submit(RequestParams(p));
+  EXPECT_EQ(sched.request(d).state, RequestState::kQueued);
+  EXPECT_EQ(sched.request(d).error, ServeError::kNone);
+  sched.run_until_idle();
+  EXPECT_EQ(sched.request(d).state, RequestState::kFinished);
 }
 
 TEST(Scheduler, DeadlineExpiryWhileQueuedAndWhileRunning) {
@@ -923,11 +955,20 @@ TEST(Scheduler, ConcurrentSubmitAndCancelRacingStepLoop) {
     }
   });
 
-  // Step concurrently with the submissions until everything lands.
+  // Step concurrently with the submissions until everything lands. The
+  // queue holds exactly the kQueued requests after every step, whatever
+  // the submitters and the canceller did in between.
+  std::int64_t first_queue_mismatch = -1;
   while (submitted.load() < kSubmitters * kPerThread ||
          sched.in_flight() > 0) {
     sched.step();
     sched.drain_events();  // keep the event log bounded, as a server would
+    const AuditSnapshot s = sched.audit_snapshot();
+    const auto queued_records = static_cast<std::size_t>(
+        std::count(s.states.begin(), s.states.end(), RequestState::kQueued));
+    if (s.queued != queued_records && first_queue_mismatch < 0) {
+      first_queue_mismatch = s.step;
+    }
   }
   stop.store(true);
   for (auto& t : submitters) t.join();
@@ -950,6 +991,8 @@ TEST(Scheduler, ConcurrentSubmitAndCancelRacingStepLoop) {
     ++terminal;
   }
   EXPECT_EQ(terminal, kSubmitters * kPerThread);
+  EXPECT_EQ(first_queue_mismatch, -1)
+      << "queue size != kQueued records at that step";
 }
 
 TEST(ServeMetrics, PercentileAndDumpsAreWellFormed) {

@@ -18,7 +18,7 @@
 //
 //   ./nora_serve [--model=tiny] [--port=8080] [--batch=8]
 //                [--kv-budget=256] [--max-conns=1024] [--tokens=16]
-//                [--drain-timeout=30000] [--force-poll] [--json]
+//                [--drain-timeout=30000] [--json]
 //
 // --model=tiny serves a compact untrained transformer (instant start:
 // benches, CI, smoke tests). Any zoo name (e.g. opt-1.3b-sim) trains or
@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   const int max_conns = static_cast<int>(cli.get_int("max-conns", 1024));
   const int tokens = static_cast<int>(cli.get_int("tokens", 16));
   const std::int64_t drain_ms = cli.get_int("drain-timeout", 30000);
-  const bool force_poll = cli.get_flag("force-poll");
   const bool json = cli.get_flag("json");
   cli.check_unknown();
 
@@ -91,7 +90,6 @@ int main(int argc, char** argv) {
   ncfg.max_connections = max_conns;
   ncfg.default_max_new_tokens = tokens;
   ncfg.drain_timeout_ms = drain_ms;
-  ncfg.force_poll = force_poll;
 
   net::install_signal_handlers();
 
